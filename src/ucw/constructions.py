@@ -309,7 +309,15 @@ class BlockUpsetParams:
 
 
 def hole_levels(params: BlockUpsetParams) -> range:
-    """Set sizes where the up-set omits some top-element sets: s+2 .. k(s-1)+1."""
+    """Sizes of the partly filled top-element levels above the generators.
+
+    The range runs from the generators' level s+1, exclusive (it holds
+    exactly the k generators and nothing lies below it), to the first full
+    level k(s-1)+2, also exclusive. A top-element set of size L is a member
+    iff its other L-1 elements hold a whole block; some (L-1)-set holds one
+    when L-1 >= s and some holds none when L-1 <= k(s-1), so each level from
+    s+2 to k(s-1)+1 holds some but not all top-element sets of its size.
+    """
     return range(params.s + 2, params.k * (params.s - 1) + 2)
 
 

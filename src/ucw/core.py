@@ -108,32 +108,38 @@ def power_set_family(m: int) -> Family:
     return Family.from_sets(m, range(1 << m))
 
 
+def _union_augment(closed, x: SetMask, cap: int | None = None) -> set[int] | None:
+    """The sets that join the union-closed ``closed`` when ``x`` is added.
+
+    ``x`` must not be a member. For a union-closed F the closure of F + {x}
+    is exactly F ∪ {x} ∪ {x|f : f ∈ F}, so one pass over F suffices: the
+    union of x|f with a member g or with x|g is x|(f|g), and f|g ∈ F.
+    Returns ``None`` as soon as more than ``cap`` (>= 1) sets would join.
+    """
+    new = {x}
+    for f in closed:
+        u = x | f
+        if u not in closed and u not in new:
+            new.add(u)
+            if cap is not None and len(new) > cap:
+                return None
+    return new
+
+
 def close_under_union(generators, m: int) -> Family:
     """Smallest union-closed family over [m] containing all generator masks.
 
-    Fixpoint iteration: union every new set against everything present until
-    nothing new appears. The generators are members of the result.
+    Adds the generators one at a time, each closed in one pass over the
+    family built so far. The generators are members of the result.
     """
     _check_universe(m)
     limit = 1 << m
     closed: set[int] = set()
-    frontier = []
     for g in generators:
         if not 0 <= g < limit:
             raise CapacityError(f"generator {g:#x} outside universe [{m}]")
         if g not in closed:
-            closed.add(g)
-            frontier.append(g)
-    while frontier:
-        u = frontier.pop()
-        fresh = []
-        for v in closed:
-            w = u | v
-            if w not in closed:
-                fresh.append(w)
-        for w in fresh:
-            closed.add(w)
-            frontier.append(w)
+            closed |= _union_augment(closed, g)
     return Family.from_sets(m, closed)
 
 

@@ -8,25 +8,32 @@ least one non-empty member, of the largest element frequency. Two routes:
   the small-scale oracle.
 
 * :func:`phi_search` proves the value by exhausting the space *below* the
-  constructive upper bound min(beta(n), a(n)). Three reductions keep that
+  constructive upper bound min(beta(n), a(n)). Four reductions keep that
   space small: merging equal membership columns preserves the member count
   and every frequency, so only separating representatives matter; a
   separating union-closed family has an element of frequency >= |U|, so any
   family beating the bound t lives on at most t columns and can be relabeled
-  into [t]; and the first chosen set can be normalized to a prefix block.
+  into [t]; the smallest non-empty member can be normalized to a prefix
+  block; and adding the empty set changes no frequency and no non-zero
+  column, so the families holding it are {∅} plus the ∅-free families of
+  n-1 sets. Each prefix-block root therefore runs once at n and once at
+  n-1 with the same t, and the second run adds ∅ to what it finds.
   Families are then built by closure-augmentation: member sets are chosen in
-  ascending canonical order, each insertion is closed under union, and a
-  branch dies when the closure overruns n sets, some frequency or the
-  distinct-column count reaches the bound, or the frequency headroom cannot
-  absorb the members still owed. Every family reached this way is reached
-  exactly once, so node counts are schedule-independent and worker processes
-  can split the root branches without sharing state.
+  ascending canonical order, and each insertion x into the union-closed F
+  closes in one pass to F ∪ {x} ∪ {x|f : f ∈ F}. A branch dies when the
+  closure overruns n sets, some frequency or the distinct-column count
+  passes the bound, or the frequency headroom cannot absorb the members
+  still owed. Within a root task each family is reached exactly once, and
+  the tasks reach disjoint families (each task fixes the smallest non-empty
+  member and whether ∅ is present), so node counts are schedule-independent
+  and worker processes can split the tasks without sharing state.
 
 The witness reported with phi(n) is the balanced-deletion family when the
 bound is tight (it always is on the verified range) or the lexicographically
 smallest canonical improving family otherwise.
 """
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -34,7 +41,7 @@ from itertools import permutations
 from multiprocessing import get_context
 
 from .constructions import beta, conway, renaud_family
-from .core import DomainError, Family, canonical_key
+from .core import DomainError, Family, _union_augment, canonical_key
 
 PHI_SEARCH_MAX_N = 12
 PHI_NAIVE_MAX_N = 6
@@ -48,7 +55,8 @@ class SearchConfig:
     ``m_max`` caps the universe (default min(n, 16); the staircase row bound
     gives m <= n). ``prune_bound`` optionally overrides the starting upper
     bound; it must not undercut beta(n), which supplies the witness.
-    ``node_budget`` bounds the enumeration per root branch.
+    ``node_budget`` bounds the enumeration per root task. ``workers`` is
+    capped at the number of root tasks and of CPUs.
     """
 
     n: int
@@ -191,33 +199,41 @@ def phi_naive(n: int, m_max: int | None = None) -> SearchResult:
 
 
 def _branch_enumerate(args):
-    """Exhaust one root branch; returns (nodes, violations, improving families).
+    """Exhaust one root task; returns (nodes, violations, improving families).
 
-    A branch fixes the first chosen set (the empty set or a prefix block).
+    A task fixes the first chosen set to a prefix block and grows the
+    ∅-free families of ``n - pad`` sets from it. With ``pad`` = 1 it stands
+    for the n-set families that add ∅ to those: ∅ changes no frequency and
+    no non-zero membership column, so every prune reads the same, and only
+    the conjecture check and the reported families count the extra member.
     Improving families are complete n-set families with every frequency <= t.
     """
-    n, t, m_cap, first_mask, node_budget = args
+    n, t, m_cap, first_mask, node_budget, pad = args
     masks = sorted(range(1 << m_cap), key=canonical_key)
     rank = {s: i for i, s in enumerate(masks)}
     bits = {s: [e for e in range(m_cap) if s >> e & 1] for s in masks}
+    target = n - pad
     found: list[tuple[int, tuple[int, ...]]] = []
     nodes = 0
     violations = 0
 
-    def dfs(fam: frozenset, ordered: tuple[int, ...], counts: list[int], last: int):
+    def dfs(fam: frozenset, counts: list[int], cols: list[int], last: int):
+        # cols[e] has bit i set when the i-th inserted member contains e; the
+        # number of distinct non-zero columns does not depend on row order
         nonlocal nodes, violations
         nodes += 1
         if nodes > node_budget:
             raise SearchBudgetError(n, t + 1, None, nodes)
         size = len(fam)
         top_count = _max_count(counts)
-        if top_count and 2 * top_count < size:
+        if top_count and 2 * top_count < size + pad:
             violations += 1
-        if size == n:
+        if size == target:
             if top_count:
+                ordered = (0,) * pad + tuple(sorted(fam, key=canonical_key))
                 found.append((top_count, ordered))
             return
-        room = n - size
+        room = target - size
         headroom = sum(t - c for c in counts if c < t)
         if room > headroom:
             return
@@ -225,32 +241,12 @@ def _branch_enumerate(args):
             x = masks[idx]
             if x in fam:
                 continue
-            # incremental closure of fam + {x}
-            new = {x}
-            frontier = [x]
-            overrun = False
-            while frontier and not overrun:
-                u = frontier.pop()
-                for v in fam:
-                    w = u | v
-                    if w not in fam and w not in new:
-                        new.add(w)
-                        frontier.append(w)
-                        if size + len(new) > n:
-                            overrun = True
-                            break
-                if overrun:
-                    break
-                for v in list(new):
-                    w = u | v
-                    if w not in fam and w not in new:
-                        new.add(w)
-                        frontier.append(w)
-                if size + len(new) > n:
-                    overrun = True
-            if overrun:
+            new = _union_augment(fam, x, room)
+            if new is None:
                 continue
             nc = counts[:]
+            ncols = cols[:]
+            row = 1 << size
             ok = True
             for s in new:
                 for e in bits[s]:
@@ -258,35 +254,38 @@ def _branch_enumerate(args):
                     if nc[e] > t:
                         ok = False
                         break
+                    ncols[e] |= row
                 if not ok:
                     break
+                row <<= 1
             if not ok:
                 continue
-            fam2 = fam | new
-            ordered2 = tuple(sorted(fam2, key=canonical_key))
-            cols = set()
-            for e in range(m_cap):
-                col = 0
-                for i, s in enumerate(ordered2):
-                    if s >> e & 1:
-                        col |= 1 << i
-                if col:
-                    cols.add(col)
-            if len(cols) > t:
+            distinct = set(ncols)
+            distinct.discard(0)
+            if len(distinct) > t:
                 continue
-            dfs(fam2, ordered2, nc, idx)
+            dfs(fam | new, nc, ncols, idx)
 
-    seed = frozenset((first_mask,))
     counts0 = [0] * m_cap
+    cols0 = [0] * m_cap
     for e in bits[first_mask]:
         counts0[e] = 1
-    dfs(seed, (first_mask,), counts0, rank[first_mask])
+        cols0[e] = 1
+    dfs(frozenset((first_mask,)), counts0, cols0, rank[first_mask])
     return nodes, violations, found
 
 
-def _root_branches(t: int, m_cap: int) -> list[int]:
-    # the first chosen set, up to relabeling: empty or a prefix block
-    return [0] + [(1 << j) - 1 for j in range(1, m_cap + 1)]
+def _root_tasks(n: int, t: int, m_cap: int, node_budget: int) -> list[tuple]:
+    # Up to relabeling, the smallest non-empty member is a prefix block. The
+    # families holding ∅ are {∅} plus an ∅-free family of n-1 sets, found by
+    # rerunning each prefix-block task one size down (pad = 1).
+    blocks = [(1 << j) - 1 for j in range(1, m_cap + 1)]
+    return [(n, t, m_cap, b, node_budget, pad) for pad in (0, 1) for b in blocks]
+
+
+def _pool_size(requested: int, tasks: int, cpus: int | None) -> int:
+    """Worker processes worth starting: at most one per task and per CPU."""
+    return max(1, min(requested, tasks, cpus or 1))
 
 
 def phi_search(config: SearchConfig) -> SearchResult:
@@ -315,19 +314,16 @@ def phi_search(config: SearchConfig) -> SearchResult:
         # nothing can beat frequency 0; the bound is trivially exact
         return SearchResult(incumbent, fallback, 0, time.perf_counter() - start)
 
-    tasks = [
-        (n, t, m_cap, first, config.node_budget) for first in _root_branches(t, m_cap)
-    ]
+    tasks = _root_tasks(n, t, m_cap, config.node_budget)
+    workers = _pool_size(config.workers, len(tasks), os.cpu_count())
     results = []
     try:
-        if config.workers <= 1:
+        if workers <= 1:
             for task in tasks:
                 results.append(_branch_enumerate(task))
         else:
             ctx = get_context("fork")
-            with ProcessPoolExecutor(
-                max_workers=config.workers, mp_context=ctx
-            ) as pool:
+            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
                 results = list(pool.map(_branch_enumerate, tasks))
     except SearchBudgetError as exc:
         raise SearchBudgetError(n, incumbent, fallback, exc.visited) from None

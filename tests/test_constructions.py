@@ -290,6 +290,11 @@ def test_block_upset_hole_levels_4_3():
     for size in range(params.k * (params.s - 1) + 2, params.m + 1):
         present = sum(1 for s in upper if s.bit_count() == size)
         assert present == math.comb(params.s * params.k, size - 1), size
+    # the generators' level s+1 holds exactly the k generators; none lie below
+    for size in range(1, params.s + 2):
+        present = sorted(s for s in upper if s.bit_count() == size)
+        expected = sorted(params.generators()) if size == params.s + 1 else []
+        assert present == expected, size
 
 
 def test_up_set_frequency_accounting():

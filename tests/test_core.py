@@ -1,11 +1,12 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ucw.core import (
     CapacityError,
     DomainError,
     Family,
+    _union_augment,
     basis_sets,
     check_conjecture,
     close_under_union,
@@ -249,6 +250,48 @@ def test_closure_idempotent(m, data):
     fam = close_under_union(gens, m)
     assert is_union_closed(fam)
     assert close_under_union(fam.sets, m) == fam
+
+
+def _pairwise_fixpoint_closure(gens) -> set[int]:
+    # reference: union every pair of members until nothing new appears
+    closed = set(gens)
+    while True:
+        fresh = {a | b for a in closed for b in closed} - closed
+        if not fresh:
+            return closed
+        closed |= fresh
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=8),
+    data=st.data(),
+)
+def test_closure_matches_pairwise_fixpoint(m, data):
+    gens = data.draw(
+        st.lists(st.integers(min_value=0, max_value=(1 << m) - 1), min_size=1, max_size=8)
+    )
+    fam = close_under_union(gens, m)
+    assert set(fam.sets) == _pairwise_fixpoint_closure(gens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=8),
+    data=st.data(),
+)
+def test_union_augment_one_pass_and_cap(m, data):
+    gens = data.draw(
+        st.lists(st.integers(min_value=0, max_value=(1 << m) - 1), min_size=1, max_size=6)
+    )
+    closed = _pairwise_fixpoint_closure(gens)
+    x = data.draw(st.integers(min_value=0, max_value=(1 << m) - 1))
+    assume(x not in closed)
+    joined = _pairwise_fixpoint_closure(closed | {x}) - closed
+    assert _union_augment(closed, x) == joined
+    cap = data.draw(st.integers(min_value=1, max_value=len(joined) + 1))
+    expected = joined if len(joined) <= cap else None
+    assert _union_augment(closed, x, cap) == expected
 
 
 @settings(max_examples=60, deadline=None)

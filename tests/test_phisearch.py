@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from ucw.constructions import beta, conway
@@ -6,6 +8,10 @@ from ucw.phisearch import (
     SearchBudgetError,
     SearchConfig,
     SearchResult,
+    _branch_enumerate,
+    _canonical_family,
+    _pool_size,
+    _root_tasks,
     phi_naive,
     phi_search,
     verify_phi_table,
@@ -121,6 +127,64 @@ def test_phi_search_worker_determinism():
         assert other.phi == base.phi
         assert other.witness == base.witness
         assert other.visited == base.visited
+
+
+def test_phi_search_visited_pinned():
+    # node counts do not depend on the schedule; a change here must be
+    # explained by a change to the enumeration
+    expected = {2: 0, 3: 2, 4: 2, 5: 6, 6: 37, 7: 36, 8: 36, 9: 384, 10: 7151}
+    for n, visited in expected.items():
+        assert phi_search(SearchConfig(n)).visited == visited, n
+
+
+def test_pool_size_caps():
+    assert _pool_size(1, 12, 2) == 1
+    assert _pool_size(8, 12, 2) == 2
+    assert _pool_size(8, 3, 16) == 3
+    assert _pool_size(4, 12, 16) == 4
+    assert _pool_size(10**9, 12, 64) == 12
+    assert _pool_size(0, 12, 2) == 1
+    assert _pool_size(-5, 12, 2) == 1
+    assert _pool_size(4, 12, None) == 1  # cpu count unknown
+
+
+def _union_closed_families(m: int, n: int) -> list[tuple[int, ...]]:
+    # brute force: every n-subset of P(m) that is union-closed
+    out = []
+    for combo in combinations(range(1 << m), n):
+        members = set(combo)
+        if all(a | b in members for a, b in combinations(combo, 2)):
+            out.append(combo)
+    return out
+
+
+def _search_families(n, t, m_cap):
+    found = []
+    for task in _root_tasks(n, t, m_cap, 10**6):
+        found += [sets for _, sets in _branch_enumerate(task)[2]]
+    return found
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_search_reaches_each_family_once(n):
+    leaves = 0
+    for m_cap in range(1, 5):
+        families = _union_closed_families(m_cap, n)
+        for t in (A[n - 1], A[n - 1] + 1):  # phi(n) = a(n) here
+            found = _search_families(n, t, m_cap)
+            # (a) no labelled family twice, ∅ included by the fold
+            assert len(found) == len(set(found)), (n, m_cap, t)
+            leaves += len(found)
+            # (b) the isomorphism classes are exactly those of brute force
+            brute = {
+                _canonical_family(sets, m_cap)
+                for sets in families
+                if 0 < max(sum(s >> e & 1 for s in sets) for e in range(m_cap)) <= t
+            }
+            assert {_canonical_family(sets, m_cap) for sets in found} == brute, (
+                n, m_cap, t,
+            )
+    assert leaves > 0
 
 
 def test_phi_search_scale_guard():
