@@ -143,33 +143,34 @@ def close_under_union(generators, m: int) -> Family:
     return Family.from_sets(m, closed)
 
 
-def is_union_closed(f: Family) -> bool:
-    """True iff the union of every pair of members is a member."""
-    n = len(f.sets)
-    if n > 1024:
-        return _is_union_closed_bulk(f)
+def _basis_scan(f: Family) -> tuple[SetMask, ...] | None:
+    """The basis sets of ``f`` if it is union-closed, else ``None``.
+
+    Walks the members in canonical order, keeping ``closed``, the union
+    closure of the members seen so far. A member already in ``closed`` is a
+    union of strictly smaller members; any other member is a basis set and
+    joins ``closed`` in one pass. ``closed`` only ever holds unions of
+    members and ends up holding every member, so ``f`` is union-closed
+    exactly when no pass adds a non-member. The cost is about n·|basis| set
+    operations.
+    """
     present = set(f.sets)
-    sets = f.sets
-    for i in range(n):
-        a = sets[i]
-        for j in range(i + 1, n):
-            if a | sets[j] not in present:
-                return False
-    return True
+    closed: set[int] = set()
+    basis = []
+    for s in f.sets:
+        if s in closed:
+            continue
+        new = _union_augment(closed, s)
+        if not new <= present:
+            return None
+        closed |= new
+        basis.append(s)
+    return tuple(basis)
 
 
-def _is_union_closed_bulk(f: Family) -> bool:
-    # Vectorized pairwise-union membership test, chunked to bound memory.
-    arr = np.array(f.sets, dtype=np.uint64)
-    table = np.sort(arr)
-    for lo in range(0, len(arr), 256):
-        chunk = arr[lo : lo + 256]
-        unions = chunk[:, None] | arr[None, :]
-        idx = np.searchsorted(table, unions)
-        idx[idx == len(table)] = 0
-        if not np.all(table[idx] == unions):
-            return False
-    return True
+def is_union_closed(f: Family) -> bool:
+    """True iff the union of every pair of members is a member; see _basis_scan."""
+    return _basis_scan(f) is not None
 
 
 def universe_of(f: Family) -> SetMask:
@@ -255,19 +256,13 @@ def basis_sets(f: Family) -> tuple[SetMask, ...]:
     """The union-irreducible members: those not equal to a union of other members.
 
     The union over an empty collection does not count, so the empty set (when
-    present) is always a basis set. Requires a union-closed family.
+    present) is always a basis set. Requires a union-closed family. Returned
+    in canonical order.
     """
-    if not is_union_closed(f):
+    basis = _basis_scan(f)
+    if basis is None:
         raise DomainError("basis_sets requires a union-closed family")
-    out = []
-    for s in f.sets:
-        u = 0
-        for other in f.sets:
-            if other != s and other | s == s:
-                u |= other
-        if s == 0 or u != s:  # the union over no sets does not reduce the empty set
-            out.append(s)
-    return tuple(out)
+    return basis
 
 
 def restrict(f: Family, a: int, contains: bool) -> Family:

@@ -11,10 +11,14 @@ Document layout (7-bit text, LF-terminated lines)::
 
 Line 1 is the format+version header, line 2 the universe size (1..64).
 Each remaining line is one member set: ``-`` for the empty set, otherwise
-strictly increasing elements of 1..m separated by single spaces. Duplicate
-sets are rejected. Parsing always yields a canonically ordered family, so
+strictly increasing elements of 1..m separated by single spaces. Numbers
+are ASCII decimal digits only (``[0-9]+``), so a sign, a space, ``_``, a
+non-ASCII digit or a trailing ``\r`` is rejected. Duplicate sets are
+rejected. Parsing always yields a canonically ordered family, so
 ``parse(serialize(f)) == f`` and serializing a parse canonicalizes the input.
 """
+
+import re
 
 from .core import Family, elements_of
 
@@ -29,6 +33,8 @@ ELEMENT_OUT_OF_RANGE = "element-out-of-range"
 DUPLICATE_SET = "duplicate-set"
 EMPTY_BODY = "empty-body"
 
+_NUMBERS = re.compile(r"[0-9]+(?: [0-9]+)*")
+
 
 class FamilyParseError(ValueError):
     """Strict-parse failure; ``code`` is one of the module-level constants."""
@@ -38,6 +44,18 @@ class FamilyParseError(ValueError):
         self.line_no = line_no
         where = f" (line {line_no})" if line_no is not None else ""
         super().__init__(f"{code}: {message}{where}")
+
+
+def _numbers(text: str) -> list[int] | None:
+    """The numbers in ``text`` if it is ``[0-9]+`` tokens joined by single
+    spaces, else ``None``. int() alone would also take signs, padding, '_'
+    and non-ASCII digits."""
+    if not _NUMBERS.fullmatch(text):
+        return None
+    try:
+        return [int(token) for token in text.split(" ")]
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 def parse_family(text: str) -> Family:
@@ -56,10 +74,10 @@ def parse_family(text: str) -> Family:
     if len(lines) < 2 or not lines[1][1].startswith("m="):
         raise FamilyParseError(BAD_HEADER, "expected 'm=<int>' on line 2", 2)
     m_text = lines[1][1][2:]
-    try:
-        m = int(m_text)
-    except ValueError:
-        raise FamilyParseError(BAD_HEADER, f"bad universe size {m_text!r}", 2) from None
+    m_value = _numbers(m_text)
+    if m_value is None or len(m_value) != 1:
+        raise FamilyParseError(BAD_HEADER, f"bad universe size {m_text!r}", 2)
+    m = m_value[0]
     if not 1 <= m <= 64:
         raise FamilyParseError(M_OUT_OF_RANGE, f"m must be in 1..64, got {m}", 2)
 
@@ -69,15 +87,12 @@ def parse_family(text: str) -> Family:
         if line == "-":
             mask = 0
         else:
+            elements = _numbers(line)
+            if elements is None:
+                raise FamilyParseError(BAD_SET_LINE, f"bad set line {line!r}", line_no)
             mask = 0
             prev = 0
-            for token in line.split(" "):
-                try:
-                    e = int(token)
-                except ValueError:
-                    raise FamilyParseError(
-                        BAD_SET_LINE, f"bad element token {token!r}", line_no
-                    ) from None
+            for e in elements:
                 if e <= prev:
                     raise FamilyParseError(
                         ELEMENT_ORDER,

@@ -21,9 +21,11 @@ least one non-empty member, of the largest element frequency. Two routes:
   Families are then built by closure-augmentation: member sets are chosen in
   ascending canonical order, and each insertion x into the union-closed F
   closes in one pass to F ∪ {x} ∪ {x|f : f ∈ F}. A branch dies when the
-  closure overruns n sets, some frequency or the distinct-column count
-  passes the bound, or the frequency headroom cannot absorb the members
-  still owed. Within a root task each family is reached exactly once, and
+  closure overruns n sets, some frequency passes the bound, or the
+  frequency headroom cannot absorb the members still owed. (No separate
+  test of the distinct-column count is needed: every node is union-closed,
+  so more than t distinct non-zero columns already force a frequency
+  above t.) Within a root task each family is reached exactly once, and
   the tasks reach disjoint families (each task fixes the smallest non-empty
   member and whether ∅ is present), so node counts are schedule-independent
   and worker processes can split the tasks without sharing state.
@@ -217,9 +219,7 @@ def _branch_enumerate(args):
     nodes = 0
     violations = 0
 
-    def dfs(fam: frozenset, counts: list[int], cols: list[int], last: int):
-        # cols[e] has bit i set when the i-th inserted member contains e; the
-        # number of distinct non-zero columns does not depend on row order
+    def dfs(fam: frozenset, counts: list[int], last: int):
         nonlocal nodes, violations
         nodes += 1
         if nodes > node_budget:
@@ -245,8 +245,6 @@ def _branch_enumerate(args):
             if new is None:
                 continue
             nc = counts[:]
-            ncols = cols[:]
-            row = 1 << size
             ok = True
             for s in new:
                 for e in bits[s]:
@@ -254,24 +252,16 @@ def _branch_enumerate(args):
                     if nc[e] > t:
                         ok = False
                         break
-                    ncols[e] |= row
                 if not ok:
                     break
-                row <<= 1
             if not ok:
                 continue
-            distinct = set(ncols)
-            distinct.discard(0)
-            if len(distinct) > t:
-                continue
-            dfs(fam | new, nc, ncols, idx)
+            dfs(fam | new, nc, idx)
 
     counts0 = [0] * m_cap
-    cols0 = [0] * m_cap
     for e in bits[first_mask]:
         counts0[e] = 1
-        cols0[e] = 1
-    dfs(frozenset((first_mask,)), counts0, cols0, rank[first_mask])
+    dfs(frozenset((first_mask,)), counts0, rank[first_mask])
     return nodes, violations, found
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -102,8 +104,8 @@ def test_is_union_closed_paper_family(b23_listed):
     assert is_union_closed(b23_listed)
 
 
-def test_is_union_closed_bulk_path_agrees():
-    fam = power_set_family(11)  # 2048 members, exercises the vectorized path
+def test_is_union_closed_large_power_set():
+    fam = power_set_family(11)  # 2048 members, 12 basis sets
     assert is_union_closed(fam)
     broken = Family.from_sets(11, [s for s in fam.sets if s != 0b11])
     assert not is_union_closed(broken)
@@ -292,6 +294,109 @@ def test_union_augment_one_pass_and_cap(m, data):
     cap = data.draw(st.integers(min_value=1, max_value=len(joined) + 1))
     expected = joined if len(joined) <= cap else None
     assert _union_augment(closed, x, cap) == expected
+
+
+def _pairwise_union_closed(sets) -> bool:
+    # reference: every pair of members has its union among the members
+    present = set(sets)
+    return all(a | b in present for a in sets for b in sets)
+
+
+def _brute_basis(sets) -> tuple[int, ...]:
+    # reference: the members that are not the union of the other members
+    # inside them; the union over no members does not count, so ∅ stays
+    out = []
+    for s in sets:
+        inside = 0
+        for other in sets:
+            if other != s and other | s == s:
+                inside |= other
+        if s == 0 or inside != s:
+            out.append(s)
+    return tuple(out)
+
+
+def _assert_scan_matches_reference(m, sets):
+    fam = Family.from_sets(m, sets)
+    closed = _pairwise_union_closed(fam.sets)
+    assert is_union_closed(fam) == closed
+    if closed:
+        assert basis_sets(fam) == _brute_basis(fam.sets)
+    else:
+        with pytest.raises(DomainError):
+            basis_sets(fam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=8),
+    empty=st.sampled_from(["keep", "add", "drop"]),
+    data=st.data(),
+)
+def test_scan_matches_pairwise_on_closures(m, empty, data):
+    gens = data.draw(
+        st.lists(st.integers(min_value=0, max_value=(1 << m) - 1), min_size=1, max_size=6)
+    )
+    closed = _pairwise_fixpoint_closure(gens)
+    if empty == "add":
+        closed.add(0)
+    elif empty == "drop":
+        closed.discard(0)
+    assume(closed)
+    _assert_scan_matches_reference(m, closed)
+    # the same closure less one member: still closed exactly when that
+    # member was a basis set
+    gone = data.draw(st.sampled_from(sorted(closed)))
+    _assert_scan_matches_reference(m, closed - {gone})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+def test_scan_matches_pairwise_on_arbitrary_families(m, data):
+    sets = data.draw(
+        st.sets(st.integers(min_value=0, max_value=(1 << m) - 1), min_size=1, max_size=12)
+    )
+    _assert_scan_matches_reference(m, sets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    order=st.permutations(range(8)),
+    data=st.data(),
+)
+def test_scan_on_chains(order, data):
+    # nested prefixes of a random element order; every member is a basis set
+    cuts = data.draw(st.sets(st.integers(min_value=0, max_value=8), min_size=1))
+    chain = {sum(1 << e for e in order[:k]) for k in cuts}
+    fam = Family.from_sets(8, chain)
+    assert is_union_closed(fam)
+    assert basis_sets(fam) == fam.sets
+    _assert_scan_matches_reference(8, chain)
+
+
+def test_scan_matches_pairwise_past_1024_sets_over_m40():
+    rng = random.Random(40)
+    gens = [mask_of(rng.sample(range(1, 41), 3)) for _ in range(11)]
+    # the closure of k generators is the set of unions of their non-empty
+    # sub-collections, built here without any closure routine
+    closed = set()
+    for pick in range(1, 1 << len(gens)):
+        u = 0
+        for i, g in enumerate(gens):
+            if pick >> i & 1:
+                u |= g
+        closed.add(u)
+    assert len(closed) > 1024
+    _assert_scan_matches_reference(40, closed)
+    fam = Family.from_sets(40, closed)
+    basis = set(basis_sets(fam))
+    dropped_basis = rng.choice(sorted(basis))
+    dropped_other = rng.choice(sorted(closed - basis))
+    assert is_union_closed(Family.from_sets(40, closed - {dropped_basis}))
+    assert not is_union_closed(Family.from_sets(40, closed - {dropped_other}))
 
 
 @settings(max_examples=60, deadline=None)

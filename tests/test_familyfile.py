@@ -59,6 +59,21 @@ def test_serialize_power_set_order():
         ("ucs 1\nm=2\n", EMPTY_BODY),
         ("ucs 1\nm=2\n1  2\n", BAD_SET_LINE),
         ("ucs 1\nm=2\nx\n", BAD_SET_LINE),
+        ("ucs 1\nm= 3\n1\n", BAD_HEADER),
+        ("ucs 1\nm=+3\n1\n", BAD_HEADER),
+        ("ucs 1\nm=\u0661\n1\n", BAD_HEADER),
+        ("ucs 1\nm=3\r\n1\n", BAD_HEADER),
+        ("ucs 1\nm=1_0\n1\n", BAD_HEADER),
+        ("ucs 1\nm=3\n+1\n", BAD_SET_LINE),
+        ("ucs 1\nm=3\n\u0661\n", BAD_SET_LINE),
+        ("ucs 1\nm=3\n1\r\n", BAD_SET_LINE),
+        ("ucs 1\nm=3\n-\r\n", BAD_SET_LINE),
+        ("ucs 1\nm=12\n1_0\n", BAD_SET_LINE),
+        ("ucs 1\nm=2\n0 1\n", ELEMENT_ORDER),
+        ("ucs 1\nm=3 4\n1\n", BAD_HEADER),
+        # more digits than int() converts
+        pytest.param("ucs 1\nm=" + "0" * 5000 + "3\n1\n", BAD_HEADER, id="long-m"),
+        pytest.param("ucs 1\nm=3\n" + "0" * 5000 + "1\n", BAD_SET_LINE, id="long-element"),
     ],
 )
 def test_parse_error_codes(text, code):
