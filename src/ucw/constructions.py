@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
-
 from .core import (
     CapacityError,
     DomainError,
@@ -298,14 +296,14 @@ class BlockUpsetParams:
         return self.s * self.k + 1
 
     def generators(self) -> list[int]:
-        top = 1 << (self.s * self.k)
-        gens = []
-        for j in range(self.k):
-            g = 0
-            for e in range(j * self.s, (j + 1) * self.s):
-                g |= 1 << e
-            gens.append(g | top)
-        return gens
+        return _block_generators(self.s, self.k)
+
+
+def _block_generators(s: int, k: int) -> list[int]:
+    """The k disjoint s-blocks of [sk], each with the top element sk+1 added."""
+    top = 1 << (s * k)
+    block = (1 << s) - 1
+    return [block << (j * s) | top for j in range(k)]
 
 
 def hole_levels(params: BlockUpsetParams) -> range:
@@ -325,14 +323,7 @@ def _block_family(s: int, k: int) -> Family:
     m = s * k + 1
     if m > 24:
         raise CapacityError("materialization capped at sk+1 <= 24")
-    top = 1 << (s * k)
-    gens = []
-    for j in range(k):
-        g = 0
-        for e in range(j * s, (j + 1) * s):
-            g |= 1 << e
-        gens.append(g | top)
-    upper = up_set(gens, m)
+    upper = up_set(_block_generators(s, k), m)
     sets = list(range(1 << (s * k))) + list(upper.sets)
     return Family.from_sets(m, sets)
 
@@ -393,10 +384,11 @@ def binary_entropy(p: float) -> float:
 class EntropyCheck:
     """Per-N verdict for the binomial growth chain at k = ceil(2N/5).
 
-    ``entropy_ok``: C(2N,k) >= 2^(H(k/2N)*2N) / (2N+1), decided with interval
-    arithmetic so rounding cannot flip it. ``power_ok``: C(2N,k) > 2^(N+1),
-    exact integers. The chain certifies that the up-set of B at this size has
-    no small sets.
+    ``entropy_ok``: C(2N,k) >= 2^(H(k/2N)*2N) / (2N+1), which is an integer
+    inequality; a float log2 gap decides it unless the gap is too close to
+    zero for rounding to be ruled out, and then exact integers do.
+    ``power_ok``: C(2N,k) > 2^(N+1), exact integers. The chain certifies
+    that the up-set of B at this size has no small sets.
     """
 
     N: int
@@ -410,26 +402,29 @@ class EntropyCheck:
         return self.entropy_ok and self.power_ok
 
 
+def _entropy_bound_holds(n: int, k: int, binom: int) -> bool:
+    """binom >= 2^(n H(k/n)) / (n+1), i.e. binom (n+1) k^k (n-k)^(n-k) >= n^n.
+
+    The float log2 gap sums five terms of size at most about n log2(n+1),
+    each off by a few ulps, so its error is below 1e-14 n log2(n+1). A gap
+    beyond 1e-9 n log2(n+1) decides by its sign; only a closer one pays for
+    the big powers.
+    """
+    gap = (
+        math.log2(binom) + math.log2(n + 1) + k * math.log2(k)
+        + (n - k) * math.log2(n - k) - n * math.log2(n)
+    )
+    if abs(gap) > 1e-9 * n * math.log2(n + 1):
+        return gap > 0
+    return binom * (n + 1) * k**k * (n - k) ** (n - k) >= n**n
+
+
 def entropy_binomial_check(N: int) -> EntropyCheck:
     if N < 1:
         raise DomainError("N must be >= 1")
     k = -(-2 * N // 5)  # ceil(2N/5)
     binom = math.comb(2 * N, k)
-    # interval-safe: rhs = 2^(H * 2N) / (2N+1) with directed rounding
-    with mpmath.workdps(60):
-        p = mpmath.iv.mpf(k) / (2 * N)
-        one = mpmath.iv.mpf(1)
-        H = -p * mpmath.iv.log(p) / mpmath.iv.log(2) - (one - p) * mpmath.iv.log(
-            one - p
-        ) / mpmath.iv.log(2)
-        rhs = (2 ** (H * 2 * N)) / (2 * N + 1)
-        lhs = mpmath.iv.mpf(binom)
-        if lhs >= rhs:
-            entropy_ok = True
-        elif lhs < rhs:
-            entropy_ok = False
-        else:  # pragma: no cover - intervals overlap, precision exhausted
-            raise AssertionError("interval comparison undecided; raise precision")
+    entropy_ok = _entropy_bound_holds(2 * N, k, binom)
     power_ok = binom > (1 << (N + 1))
     return EntropyCheck(N, k, binom, entropy_ok, power_ok)
 

@@ -6,13 +6,13 @@ capped at 64 elements so a mask always fits one machine word.
 
 A :class:`Family` is an immutable, deduplicated collection of masks in
 *canonical order*: ascending cardinality, ties broken by ascending numeric
-mask value. All operations in this module are pure functions; families are
-safe to share across threads.
+mask value. All operations in this module are pure functions on Python
+integers, with no package beyond the standard library; families are safe
+to share across threads.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 MAX_UNIVERSE = 64
 
@@ -185,18 +185,16 @@ def frequencies(f: Family) -> tuple[int, ...]:
     """Per-element membership counts; index a-1 holds the count of element a.
 
     The empty set contributes to no count but does count toward ``len(f)``.
+    One pass per 8 elements counts the members by their byte at that
+    offset; each byte value's count then goes to each of its set bits.
     """
-    if len(f.sets) > 50_000:
-        arr = np.array(f.sets, dtype=np.uint64)
-        return tuple(
-            int(((arr >> np.uint64(e)) & np.uint64(1)).sum()) for e in range(f.m)
-        )
     counts = [0] * f.m
-    for s in f.sets:
-        while s:
-            low = s & -s
-            counts[low.bit_length() - 1] += 1
-            s ^= low
+    for shift in range(0, f.m, 8):
+        for byte, count in Counter([s >> shift & 255 for s in f.sets]).items():
+            while byte:
+                low = byte & -byte
+                counts[shift + low.bit_length() - 1] += count
+                byte ^= low
     return tuple(counts)
 
 

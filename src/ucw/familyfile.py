@@ -128,7 +128,9 @@ def serialize_family(f: Family) -> str:
 
 
 def load_family(path) -> Family:
-    with open(path, "r", encoding="ascii") as fh:
+    """Parse a family file; a byte that is not UTF-8 reaches the parser as a
+    lone surrogate, so any non-ASCII byte fails with a stable code."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return parse_family(fh.read())
 
 

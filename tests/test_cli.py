@@ -1,7 +1,11 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import ucw
 from ucw.cli import main
 from ucw.constructions import renaud_family
 from ucw.core import is_separating, is_union_closed, max_frequency
@@ -148,6 +152,24 @@ def test_verify_exit_codes(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "body, code",
+    [
+        (b"ucs 1\nm=3\n\xd9\xa1\n", "bad-set-line"),  # Arabic-Indic digit one
+        (b"ucs 1\nm=3\n1 \xff\n", "bad-set-line"),  # not UTF-8
+        (b"ucs 1\nm=\xd9\xa1\n1\n", "bad-header"),
+        (b"ucs 1\nm=\xff\n1\n", "bad-header"),
+    ],
+)
+def test_non_ascii_bytes_fail_with_stable_code(capsys, tmp_path, body, code):
+    path = tmp_path / "bytes.ucs"
+    path.write_bytes(body)
+    for command in ("analyze", "verify"):
+        status, _, err = run_cli(capsys, command, str(path))
+        assert status == 2
+        assert err.startswith(f"parse error: {code}:")
+
+
 def test_verify_usage_error_exit_2(capsys):
     assert main(["verify"]) == 2
     capsys.readouterr()
@@ -213,6 +235,22 @@ def test_console_script_entry():
     )
     # bare invocation is a usage error
     assert proc.returncode == 2
+
+
+def test_import_needs_no_third_party_package():
+    src = str(Path(ucw.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, ucw; print(sorted({'numpy', 'mpmath'} & set(sys.modules)))",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_cli_determinism_same_flags(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from ucw.constructions import (
     BlockUpsetParams,
+    _entropy_bound_holds,
     balanced_deletion,
     beta,
     binary_entropy,
@@ -410,6 +411,27 @@ def test_entropy_binomial_sweep_threshold():
     assert all(c.chain_ok for c in checks if c.N >= threshold)
     assert not checks[threshold - 2].chain_ok  # N = threshold-1 fails
     assert all(c.power_ok for c in checks if c.N >= 6)
+
+
+def _entropy_ok_exact(N):
+    # reference: 2^(2N H(k/2N)) = (2N)^(2N) / (k^k (2N-k)^(2N-k)) in integers
+    n, k = 2 * N, -(-2 * N // 5)
+    return math.comb(n, k) * (n + 1) * k**k * (n - k) ** (n - k) >= n**n
+
+
+def test_entropy_ok_matches_exact_integers():
+    for N in [*range(1, 301), 2000]:
+        assert entropy_binomial_check(N).entropy_ok == _entropy_ok_exact(N), N
+
+
+def test_entropy_bound_near_tie_decided_exactly():
+    # b0 is the smallest binomial value meeting the bound; b0 and b0 - 1 have
+    # the same float log2, so only the exact comparison tells them apart
+    n, k = 200, 80
+    b0 = -(-(n**n) // ((n + 1) * k**k * (n - k) ** (n - k)))
+    assert math.log2(b0) == math.log2(b0 - 1)
+    assert _entropy_bound_holds(n, k, b0)
+    assert not _entropy_bound_holds(n, k, b0 - 1)
 
 
 # ---------------------------------------------------------------------------

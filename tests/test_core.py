@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ucw.core import (
@@ -132,6 +132,34 @@ def test_frequencies_mass_balance(rng):
         fam = random_union_closed(rng)
         counts = frequencies(fam)
         assert sum(counts) == sum(s.bit_count() for s in fam.sets)
+
+
+def _per_element_frequencies(m, sets) -> tuple[int, ...]:
+    # reference: test every element's bit in every member
+    return tuple(sum(s >> e & 1 for s in sets) for e in range(m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=64),
+    raw=st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), max_size=40),
+    empty=st.booleans(),
+)
+@example(m=64, raw=[1 << 63, (1 << 64) - 1, 0xFF << 56, 0x8000_0001], empty=True)
+@example(m=13, raw=[1 << 12, (1 << 13) - 1, 0x1F0, 0x100], empty=True)
+def test_frequencies_match_per_element_reference(m, raw, empty):
+    sets = {s & ((1 << m) - 1) for s in raw} | ({0} if empty else set())
+    fam = Family.from_sets(m, sets)
+    assert frequencies(fam) == _per_element_frequencies(m, fam.sets)
+
+
+def test_frequencies_match_reference_above_50000_sets(rng):
+    p16 = power_set_family(16)
+    assert frequencies(p16) == _per_element_frequencies(16, p16.sets) == (1 << 15,) * 16
+    masks = (rng.getrandbits(37) >> rng.randrange(8) for _ in range(60_000))
+    fam = Family.from_sets(37, masks)
+    assert len(fam) > 50_000
+    assert frequencies(fam) == _per_element_frequencies(37, fam.sets)
 
 
 def test_max_frequency_smallest_element_tie():
