@@ -108,21 +108,18 @@ def power_set_family(m: int) -> Family:
     return Family.from_sets(m, range(1 << m))
 
 
-def _union_augment(closed, x: SetMask, cap: int | None = None) -> set[int] | None:
+def _union_augment(closed, x: SetMask) -> set[int]:
     """The sets that join the union-closed ``closed`` when ``x`` is added.
 
     ``x`` must not be a member. For a union-closed F the closure of F + {x}
     is exactly F ∪ {x} ∪ {x|f : f ∈ F}, so one pass over F suffices: the
     union of x|f with a member g or with x|g is x|(f|g), and f|g ∈ F.
-    Returns ``None`` as soon as more than ``cap`` (>= 1) sets would join.
     """
     new = {x}
     for f in closed:
         u = x | f
-        if u not in closed and u not in new:
+        if u not in closed:
             new.add(u)
-            if cap is not None and len(new) > cap:
-                return None
     return new
 
 
@@ -207,15 +204,30 @@ def max_frequency(f: Family) -> tuple[int, int]:
     return (counts.index(best) + 1, best)
 
 
+# _BIT_DIGITS[k] maps a byte to b"1" if its bit k is set, else to b"0"
+_BIT_DIGITS = [
+    bytes.maketrans(bytes(range(256)), bytes(48 + (b >> k & 1) for b in range(256)))
+    for k in range(8)
+]
+
+
 def membership_columns(f: Family) -> dict[int, int]:
-    """For each element of U(f), the bitmask of member indices containing it."""
+    """For each element of U(f), the bitmask of member indices containing it.
+
+    One pass per 8 elements takes each member's byte at that offset, last
+    member first; for each bit of the byte, translating those bytes gives
+    the column as a string of binary digits, which int() reads in linear
+    time.
+    """
     cols: dict[int, int] = {}
-    for i, s in enumerate(f.sets):
-        while s:
-            low = s & -s
-            e = low.bit_length()
-            cols[e] = cols.get(e, 0) | (1 << i)
-            s ^= low
+    if not f.sets:
+        return cols
+    for shift in range(0, f.m, 8):
+        row = bytes([s >> shift & 255 for s in reversed(f.sets)])
+        for k in range(min(8, f.m - shift)):
+            col = int(row.translate(_BIT_DIGITS[k]), 2)
+            if col:
+                cols[shift + k + 1] = col
     return cols
 
 

@@ -129,8 +129,9 @@ def serialize_family(f: Family) -> str:
 
 def load_family(path) -> Family:
     """Parse a family file; a byte that is not UTF-8 reaches the parser as a
-    lone surrogate, so any non-ASCII byte fails with a stable code."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    lone surrogate, so any non-ASCII byte fails with a stable code. Line
+    ends are not translated, so a CR reaches the parser and is rejected."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         return parse_family(fh.read())
 
 

@@ -8,27 +8,33 @@ least one non-empty member, of the largest element frequency. Two routes:
   the small-scale oracle.
 
 * :func:`phi_search` proves the value by exhausting the space *below* the
-  constructive upper bound min(beta(n), a(n)). Four reductions keep that
-  space small: merging equal membership columns preserves the member count
-  and every frequency, so only separating representatives matter; a
-  separating union-closed family has an element of frequency >= |U|, so any
-  family beating the bound t lives on at most t columns and can be relabeled
-  into [t]; the smallest non-empty member can be normalized to a prefix
-  block; and adding the empty set changes no frequency and no non-zero
-  column, so the families holding it are {∅} plus the ∅-free families of
-  n-1 sets. Each prefix-block root therefore runs once at n and once at
-  n-1 with the same t, and the second run adds ∅ to what it finds.
-  Families are then built by closure-augmentation: member sets are chosen in
-  ascending canonical order, and each insertion x into the union-closed F
-  closes in one pass to F ∪ {x} ∪ {x|f : f ∈ F}. A branch dies when the
-  closure overruns n sets, some frequency passes the bound, or the
-  frequency headroom cannot absorb the members still owed. (No separate
-  test of the distinct-column count is needed: every node is union-closed,
-  so more than t distinct non-zero columns already force a frequency
-  above t.) Within a root task each family is reached exactly once, and
-  the tasks reach disjoint families (each task fixes the smallest non-empty
-  member and whether ∅ is present), so node counts are schedule-independent
-  and worker processes can split the tasks without sharing state.
+  constructive upper bound min(beta(n), a(n)); let t be that bound minus
+  one. Four reductions keep that space small: merging equal membership
+  columns preserves the member count and every frequency, so only
+  separating representatives matter; a separating union-closed family has
+  an element of frequency >= |U|, so any family with every frequency at
+  most t lives on at most t columns and can be relabeled into [t]; the
+  smallest non-empty member can be normalized to a prefix block; and
+  adding the empty set changes no frequency and no non-zero column, so the
+  families holding it are {∅} plus the ∅-free families of n-1 sets.
+  The search is therefore one traversal per prefix block of the ∅-free
+  union-closed families on [t] with every frequency at most t. Families
+  are built by closure-augmentation: member sets are chosen in ascending
+  canonical order, and each insertion x into the union-closed F closes in
+  one pass to F ∪ {x} ∪ {x|f : f ∈ F}. The one prune is the frequency cap:
+  a branch dies when some frequency passes t, as it does in every
+  superset. The tree thus depends on t and the column cap, not on n; n
+  enters only at the nodes, where a node of n sets is recorded as found
+  and a node of n-1 sets is recorded with ∅ added. (Pruning against n as
+  well, by a closure that overruns n sets or too few free frequency
+  slots for the members still owed, cuts at most three nodes of such a
+  tree for n <= 12, and would need a second traversal for the ∅ fold.
+  No test of the distinct-column count is needed either: every node is
+  union-closed, so more than t distinct non-zero columns already force a
+  frequency above t.) Within a root task each family is reached exactly
+  once, and the tasks reach disjoint families (each task fixes the
+  smallest non-empty member), so node counts are schedule-independent and
+  worker processes can split the tasks without sharing state.
 
 The witness reported with phi(n) is the balanced-deletion family when the
 bound is tight (it always is on the verified range) or the lexicographically
@@ -54,16 +60,15 @@ DEFAULT_NODE_BUDGET = 20_000_000
 class SearchConfig:
     """Knobs for :func:`phi_search`.
 
-    ``m_max`` caps the universe (default min(n, 16); the staircase row bound
-    gives m <= n). ``prune_bound`` optionally overrides the starting upper
-    bound; it must not undercut beta(n), which supplies the witness.
-    ``node_budget`` bounds the enumeration per root task. ``workers`` is
-    capped at the number of root tasks and of CPUs.
+    ``m_max`` caps the universe searched (default t, the constructive bound
+    minus one, which every family that beats the bound can be relabeled
+    into). ``node_budget`` bounds the enumeration per root task, one task
+    per prefix block. ``workers`` is capped at the number of root tasks and
+    of CPUs.
     """
 
     n: int
     m_max: int | None = None
-    prune_bound: int | None = None
     workers: int = 1
     naive: bool = False
     node_budget: int = DEFAULT_NODE_BUDGET
@@ -135,17 +140,15 @@ def _canonical_min_family(families, m: int) -> tuple[int, ...]:
     return min((_canonical_family(f, m) for f in pool), key=_keyed)
 
 
-def _max_count(counts) -> int:
-    return max(counts) if counts else 0
-
-
 def phi_naive(n: int, m_max: int | None = None) -> SearchResult:
     """Oracle-scale exact phi by exhaustive subset enumeration (n <= 6).
 
     Walks n-subsets of P(m_max) in ascending numeric order; a partial choice
     dies once a forced union (of two chosen sets) below the next candidate is
     missing, or more unions are owed than slots remain. Families with no
-    non-empty member are excluded.
+    non-empty member are excluded. Of the families with the least maximal
+    frequency, only those with the least sorted member sizes are kept:
+    relabeling keeps member sizes, so only they can give the witness.
     """
     if not 1 <= n <= PHI_NAIVE_MAX_N:
         raise DomainError(f"phi_naive supports 1 <= n <= {PHI_NAIVE_MAX_N}")
@@ -154,12 +157,12 @@ def phi_naive(n: int, m_max: int | None = None) -> SearchResult:
         raise DomainError(f"phi_naive supports m_max <= {PHI_NAIVE_MAX_N}")
     start = time.perf_counter()
     top = 1 << m
-    best_value: int | None = None
+    best = None  # (maximal frequency, sorted member sizes) of best_families
     best_families: list[tuple[int, ...]] = []
     nodes = 0
 
     def rec(chosen: list[int], pending: set[int], lo: int):
-        nonlocal best_value, best_families, nodes
+        nonlocal best, best_families, nodes
         nodes += 1
         room = n - len(chosen)
         if len(pending) > room:
@@ -170,13 +173,14 @@ def phi_naive(n: int, m_max: int | None = None) -> SearchResult:
                 for e in range(m):
                     if s >> e & 1:
                         counts[e] += 1
-            value = _max_count(counts)
-            if value == 0:
+            value = max(counts)
+            if value == 0 or best is not None and value > best[0]:
                 return
-            if best_value is None or value < best_value:
-                best_value = value
+            key = (value, sorted(s.bit_count() for s in chosen))
+            if best is None or key < best:
+                best = key
                 best_families = [tuple(chosen)]
-            elif value == best_value:
+            elif key == best:
                 best_families.append(tuple(chosen))
             return
         limit = min(pending) if pending else top - 1
@@ -193,28 +197,24 @@ def phi_naive(n: int, m_max: int | None = None) -> SearchResult:
             chosen.pop()
 
     rec([], set(), 0)
-    assert best_value is not None
+    assert best is not None
     witness = Family.from_sets(m, _canonical_min_family(best_families, m))
-    return SearchResult(
-        best_value, witness, nodes, time.perf_counter() - start
-    )
+    return SearchResult(best[0], witness, nodes, time.perf_counter() - start)
 
 
 def _branch_enumerate(args):
     """Exhaust one root task; returns (nodes, violations, improving families).
 
-    A task fixes the first chosen set to a prefix block and grows the
-    ∅-free families of ``n - pad`` sets from it. With ``pad`` = 1 it stands
-    for the n-set families that add ∅ to those: ∅ changes no frequency and
-    no non-zero membership column, so every prune reads the same, and only
-    the conjecture check and the reported families count the extra member.
-    Improving families are complete n-set families with every frequency <= t.
+    A task fixes the first chosen set to a prefix block and grows from it
+    every ∅-free union-closed family on [m_cap] with all frequencies <= t.
+    Improving families are the nodes of n sets and, with ∅ added, the nodes
+    of n-1 sets. The half-membership check counts each node twice, with
+    and without ∅, since ∅ adds a member and no frequency.
     """
-    n, t, m_cap, first_mask, node_budget, pad = args
+    t, m_cap, first_mask, n, node_budget = args
     masks = sorted(range(1 << m_cap), key=canonical_key)
     rank = {s: i for i, s in enumerate(masks)}
     bits = {s: [e for e in range(m_cap) if s >> e & 1] for s in masks}
-    target = n - pad
     found: list[tuple[int, tuple[int, ...]]] = []
     nodes = 0
     violations = 0
@@ -225,25 +225,17 @@ def _branch_enumerate(args):
         if nodes > node_budget:
             raise SearchBudgetError(n, t + 1, None, nodes)
         size = len(fam)
-        top_count = _max_count(counts)
-        if top_count and 2 * top_count < size + pad:
-            violations += 1
-        if size == target:
-            if top_count:
-                ordered = (0,) * pad + tuple(sorted(fam, key=canonical_key))
-                found.append((top_count, ordered))
-            return
-        room = target - size
-        headroom = sum(t - c for c in counts if c < t)
-        if room > headroom:
-            return
+        top_count = max(counts)
+        violations += (2 * top_count < size) + (2 * top_count < size + 1)
+        if size == n:
+            found.append((top_count, tuple(sorted(fam, key=canonical_key))))
+        elif size == n - 1:
+            found.append((top_count, (0,) + tuple(sorted(fam, key=canonical_key))))
         for idx in range(last + 1, len(masks)):
             x = masks[idx]
             if x in fam:
                 continue
-            new = _union_augment(fam, x, room)
-            if new is None:
-                continue
+            new = _union_augment(fam, x)
             nc = counts[:]
             ok = True
             for s in new:
@@ -265,14 +257,6 @@ def _branch_enumerate(args):
     return nodes, violations, found
 
 
-def _root_tasks(n: int, t: int, m_cap: int, node_budget: int) -> list[tuple]:
-    # Up to relabeling, the smallest non-empty member is a prefix block. The
-    # families holding ∅ are {∅} plus an ∅-free family of n-1 sets, found by
-    # rerunning each prefix-block task one size down (pad = 1).
-    blocks = [(1 << j) - 1 for j in range(1, m_cap + 1)]
-    return [(n, t, m_cap, b, node_budget, pad) for pad in (0, 1) for b in blocks]
-
-
 def _pool_size(requested: int, tasks: int, cpus: int | None) -> int:
     """Worker processes worth starting: at most one per task and per CPU."""
     return max(1, min(requested, tasks, cpus or 1))
@@ -291,20 +275,16 @@ def phi_search(config: SearchConfig) -> SearchResult:
     if n == 1:
         return SearchResult(1, Family(1, (1,)), 1, time.perf_counter() - start)
     incumbent = min(beta(n)[0], conway(n)[-1])
-    if config.prune_bound is not None:
-        if config.prune_bound < incumbent:
-            raise DomainError(
-                "prune_bound undercuts the constructive upper bound; no witness"
-            )
-        incumbent = min(incumbent, config.prune_bound)
     fallback = renaud_family(n)
     t = incumbent - 1
-    m_cap = min(config.m_max if config.m_max is not None else n, n, 16, max(t, 1))
     if t < 1:
         # nothing can beat frequency 0; the bound is trivially exact
         return SearchResult(incumbent, fallback, 0, time.perf_counter() - start)
+    m_cap = t if config.m_max is None else min(config.m_max, t)
 
-    tasks = _root_tasks(n, t, m_cap, config.node_budget)
+    # Up to relabeling, the smallest non-empty member is a prefix block.
+    blocks = [(1 << j) - 1 for j in range(1, m_cap + 1)]
+    tasks = [(t, m_cap, b, n, config.node_budget) for b in blocks]
     workers = _pool_size(config.workers, len(tasks), os.cpu_count())
     results = []
     try:

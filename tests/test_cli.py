@@ -170,6 +170,18 @@ def test_non_ascii_bytes_fail_with_stable_code(capsys, tmp_path, body, code):
         assert err.startswith(f"parse error: {code}:")
 
 
+@pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_cr_line_ends_fail_with_bad_header(capsys, tmp_path, end):
+    # the format is LF-only; a file must not load through newline translation
+    path = tmp_path / "ends.ucs"
+    path.write_bytes(end.join([b"ucs 1", b"m=3", b"1", b"1 2", b""]))
+    for command in ("analyze", "verify"):
+        status, out, err = run_cli(capsys, command, str(path))
+        assert status == 2
+        assert out == ""
+        assert err.startswith("parse error: bad-header:")
+
+
 def test_verify_usage_error_exit_2(capsys):
     assert main(["verify"]) == 2
     capsys.readouterr()

@@ -18,6 +18,7 @@ from ucw.core import (
     is_union_closed,
     mask_of,
     max_frequency,
+    membership_columns,
     power_set_family,
     restrict,
     separating_quotient,
@@ -180,6 +181,27 @@ def test_is_separating():
     assert is_separating(Family.from_lists(3, [[1, 3], [2, 3], [1, 2, 3]]))
 
 
+def _per_element_columns(f: Family) -> dict[int, int]:
+    # reference: each element's column built bit by bit from the members
+    cols = {}
+    for e in range(1, f.m + 1):
+        col = sum(1 << i for i, s in enumerate(f.sets) if s >> (e - 1) & 1)
+        if col:
+            cols[e] = col
+    return cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=64),
+    data=st.data(),
+)
+def test_membership_columns_match_per_element_reference(m, data):
+    sets = data.draw(st.sets(st.integers(min_value=0, max_value=(1 << m) - 1), max_size=40))
+    fam = Family.from_sets(m, sets)
+    assert membership_columns(fam) == _per_element_columns(fam)
+
+
 def test_separating_quotient_merges_identical_columns():
     fam, mapping = separating_quotient(Family.from_lists(2, [[1, 2]]))
     assert fam == Family.from_lists(1, [[1]])
@@ -310,7 +332,7 @@ def test_closure_matches_pairwise_fixpoint(m, data):
     m=st.integers(min_value=1, max_value=8),
     data=st.data(),
 )
-def test_union_augment_one_pass_and_cap(m, data):
+def test_union_augment_one_pass(m, data):
     gens = data.draw(
         st.lists(st.integers(min_value=0, max_value=(1 << m) - 1), min_size=1, max_size=6)
     )
@@ -319,9 +341,6 @@ def test_union_augment_one_pass_and_cap(m, data):
     assume(x not in closed)
     joined = _pairwise_fixpoint_closure(closed | {x}) - closed
     assert _union_augment(closed, x) == joined
-    cap = data.draw(st.integers(min_value=1, max_value=len(joined) + 1))
-    expected = joined if len(joined) <= cap else None
-    assert _union_augment(closed, x, cap) == expected
 
 
 def _pairwise_union_closed(sets) -> bool:

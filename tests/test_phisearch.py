@@ -1,9 +1,19 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucw.constructions import beta, conway
-from ucw.core import DomainError, check_conjecture, is_union_closed, max_frequency
+from ucw.core import (
+    DomainError,
+    Family,
+    check_conjecture,
+    close_under_union,
+    frequencies,
+    is_union_closed,
+    max_frequency,
+)
 from ucw.phisearch import (
     SearchBudgetError,
     SearchConfig,
@@ -11,7 +21,6 @@ from ucw.phisearch import (
     _branch_enumerate,
     _canonical_family,
     _pool_size,
-    _root_tasks,
     phi_naive,
     phi_search,
     verify_phi_table,
@@ -131,8 +140,11 @@ def test_phi_search_worker_determinism():
 
 def test_phi_search_visited_pinned():
     # node counts do not depend on the schedule; a change here must be
-    # explained by a change to the enumeration
-    expected = {2: 0, 3: 2, 4: 2, 5: 6, 6: 37, 7: 36, 8: 36, 9: 384, 10: 7151}
+    # explained by a change to the enumeration. The traversal prunes by the
+    # frequency cap t alone, so visited depends on (t, m_cap) and not on n
+    # (n = 6, 7, 8 share t = 3); one traversal per root records both the
+    # ∅-free and the ∅-holding families, so there is no second run per root.
+    expected = {2: 0, 3: 1, 4: 1, 5: 4, 6: 19, 7: 19, 8: 19, 9: 194, 10: 3576}
     for n, visited in expected.items():
         assert phi_search(SearchConfig(n)).visited == visited, n
 
@@ -159,8 +171,10 @@ def _union_closed_families(m: int, n: int) -> list[tuple[int, ...]]:
 
 
 def _search_families(n, t, m_cap):
+    # one traversal per prefix block, as phi_search schedules them
     found = []
-    for task in _root_tasks(n, t, m_cap, 10**6):
+    for j in range(1, m_cap + 1):
+        task = (t, m_cap, (1 << j) - 1, n, 10**6)
         found += [sets for _, sets in _branch_enumerate(task)[2]]
     return found
 
@@ -187,6 +201,57 @@ def test_search_reaches_each_family_once(n):
     assert leaves > 0
 
 
+def _closed_top_and_size(m: int) -> list[tuple[int, int]]:
+    # brute force over every subset of P(m), as a bit mask over the 2^m
+    # sets: (largest frequency, size) of each union-closed family that has
+    # a non-empty member
+    out = []
+    for code in range(1, 1 << (1 << m)):
+        sets = [s for s in range(1 << m) if code >> s & 1]
+        if all(code >> (a | b) & 1 for a, b in combinations(sets, 2)):
+            top = max(sum(s >> e & 1 for s in sets) for e in range(m))
+            if top:
+                out.append((top, len(sets)))
+    return out
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_traversal_records_every_size_up_to_threshold_max(m):
+    # N_m(t), the most sets a union-closed family on [m] with every
+    # frequency <= t can have; by the monotonicity lemma every smaller size
+    # is reached too, so the traversal for t records n-set families exactly
+    # when n <= N_m(t)
+    pairs = _closed_top_and_size(m)
+    for t in range(1, 6):
+        most = max(size for top, size in pairs if top <= t)
+        for n in range(1, most + 2):
+            assert bool(_search_families(n, t, m)) == (n <= most), (m, t, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+def test_deleting_a_minimal_member_keeps_closure_and_frequencies(m, data):
+    # monotonicity lemma: a union-closed family less an inclusion-minimal
+    # non-empty member is union-closed, and no frequency rises; so the
+    # largest size with every frequency <= t is reached by every size below
+    gens = data.draw(
+        st.lists(st.integers(min_value=1, max_value=(1 << m) - 1), min_size=1, max_size=6)
+    )
+    if data.draw(st.booleans()):
+        gens.append(0)
+    fam = close_under_union(gens, m)
+    minimal = [
+        s for s in fam.sets if s and not any(0 < r < s and r | s == s for r in fam.sets)
+    ]
+    x = data.draw(st.sampled_from(minimal))
+    smaller = Family.from_sets(m, set(fam.sets) - {x})
+    assert is_union_closed(smaller)
+    assert all(a <= b for a, b in zip(frequencies(smaller), frequencies(fam)))
+
+
 def test_phi_search_scale_guard():
     with pytest.raises(DomainError):
         phi_search(SearchConfig(13))
@@ -205,12 +270,6 @@ def test_phi_search_budget_error_propagates_from_workers():
     with pytest.raises(SearchBudgetError) as err:
         phi_search(SearchConfig(9, workers=4, node_budget=50))
     assert err.value.incumbent == A[8]
-
-
-def test_phi_search_prune_bound_guard():
-    with pytest.raises(DomainError):
-        phi_search(SearchConfig(8, prune_bound=3))
-    assert phi_search(SearchConfig(8, prune_bound=4)).phi == 4
 
 
 def test_verify_phi_table():
