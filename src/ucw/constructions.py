@@ -36,6 +36,7 @@ from .core import (
     CapacityError,
     DomainError,
     Family,
+    _check_universe,
     check_conjecture,
     frequencies,
     max_frequency,
@@ -253,8 +254,7 @@ def up_set(generators, m: int) -> Family:
     gens = list(generators)
     if not gens:
         raise DomainError("up_set requires at least one generator")
-    if not 1 <= m <= 64:
-        raise CapacityError(f"universe size must be in 1..64, got {m}")
+    _check_universe(m)
     limit = 1 << m
     budget = 0
     for g in gens:
@@ -472,7 +472,8 @@ def pad_family(f: Family, c) -> tuple[Family, PadParams]:
     """
     frac = _as_fraction(c)
     n = len(f.sets)
-    m = universe_of(f).bit_count()
+    u = universe_of(f)
+    m = u.bit_count()
     if m == 0:
         raise DomainError("pad_family requires a non-empty universe")
     num, den = frac.numerator, frac.denominator
@@ -486,11 +487,7 @@ def pad_family(f: Family, c) -> tuple[Family, PadParams]:
         raise CapacityError(f"padding needs {f.m + p} elements, over the 64 cap")
     new_elements = tuple(range(f.m + 1, f.m + p + 1))
     m2 = f.m + p
-    full = 0
-    for s in f.sets:
-        full |= s
-    for e in new_elements:
-        full |= 1 << (e - 1)
+    full = u | ((1 << p) - 1) << f.m
     new_sets = list(f.sets)
     for e in new_elements[: p - 1]:
         new_sets.append(full & ~(1 << (e - 1)))

@@ -11,6 +11,7 @@ integers, with no package beyond the standard library; families are safe
 to share across threads.
 """
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
@@ -94,7 +95,9 @@ class Family:
         return len(self.sets)
 
     def __contains__(self, mask: SetMask) -> bool:
-        return mask in set(self.sets)
+        key = canonical_key(mask)
+        i = bisect_left(self.sets, key, key=canonical_key)
+        return i < len(self.sets) and self.sets[i] == mask
 
     def __iter__(self):
         return iter(self.sets)
@@ -237,6 +240,23 @@ def is_separating(f: Family) -> bool:
     return len(set(cols.values())) == len(cols)
 
 
+def _relabel(sets, m: int, image: dict[int, int]) -> list[SetMask]:
+    """Each mask over [m] with element e renamed to image[e].
+
+    Elements missing from ``image`` are dropped. One pass per 8 elements
+    looks each member's byte at that offset up in a table of the renamed
+    bits of every byte value, built by doubling once per element.
+    """
+    out = [0] * len(sets)
+    for shift in range(0, m, 8):
+        table = [0]
+        for e in range(shift + 1, min(shift + 8, m) + 1):
+            bit = 1 << (image[e] - 1) if e in image else 0
+            table += [t | bit for t in table]
+        out = [t | table[s >> shift & 255] for t, s in zip(out, sets)]
+    return out
+
+
 def separating_quotient(f: Family) -> tuple[Family, dict[int, int]]:
     """Merge elements with identical membership columns.
 
@@ -252,14 +272,8 @@ def separating_quotient(f: Family) -> tuple[Family, dict[int, int]]:
     reps = sorted(by_col.values())
     new_label = {rep: i + 1 for i, rep in enumerate(reps)}
     mapping = {e: new_label[by_col[cols[e]]] for e in cols}
-    new_sets = []
-    for s in f.sets:
-        t = 0
-        for e in elements_of(s):
-            t |= 1 << (mapping[e] - 1)
-        new_sets.append(t)
     m2 = max(1, len(reps))
-    return Family.from_sets(m2, new_sets), mapping
+    return Family.from_sets(m2, _relabel(f.sets, f.m, mapping)), mapping
 
 
 def basis_sets(f: Family) -> tuple[SetMask, ...]:

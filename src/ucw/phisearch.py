@@ -108,6 +108,8 @@ def _canonical_family(sets: tuple[int, ...], m: int) -> tuple[int, ...]:
     canonical (cardinality, value) order."""
     best = None
     best_masks = None
+    # Not core._relabel: its tables cost more than they save on the few
+    # small masks relabeled here m! times (phi_naive(6) ran slower with it).
     for perm in permutations(range(m)):
         relab = []
         for s in sets:

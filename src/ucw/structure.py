@@ -12,6 +12,9 @@ which is the frequency bound used throughout. The domination lemma and its
 corollary locate, for any sub-collection, a maximal-frequency element whose
 row count in S is full (m-1 rows besides its own), the step that powers the
 minimal-counterexample size bound |F| >= 4m-1.
+
+Relabeling goes through ``core._relabel``, the one byte-table routine that
+also serves ``core.separating_quotient``.
 """
 
 from dataclasses import dataclass
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 from .core import (
     DomainError,
     Family,
+    _relabel,
     check_conjecture,
     frequencies,
     is_separating,
@@ -41,12 +45,11 @@ class STable:
 class AuditReport:
     """Outcome of the minimal-counterexample deduction chain on one family.
 
-    The three trailing flags are None when the family satisfies the
+    Only separating union-closed families are audited (others raise). The
+    three deduction flags are None when the family satisfies the
     conjecture, since the deductions only constrain counterexamples.
     """
 
-    union_closed: bool
-    separating: bool
     conjecture_holds: bool
     parity_ok: bool | None
     maxfreq_equals_n: bool | None
@@ -75,13 +78,7 @@ def frequency_order_relabel(f: Family) -> tuple[Family, tuple[int, ...]]:
         raise DomainError("frequency_order_relabel requires a non-empty universe")
     order = sorted(used, key=lambda e: (counts[e - 1], e))
     new_of_old = {old: new for new, old in enumerate(order, start=1)}
-    new_sets = []
-    for s in f.sets:
-        t = 0
-        for old, new in new_of_old.items():
-            if s >> (old - 1) & 1:
-                t |= 1 << (new - 1)
-        new_sets.append(t)
+    new_sets = _relabel(f.sets, f.m, new_of_old)
     return Family.from_sets(len(order), new_sets), tuple(order)
 
 
@@ -205,7 +202,6 @@ def s_frequency_bound(f: Family) -> tuple[int, int]:
     The element landing on the top staircase position lies in all m distinct
     rows, so its frequency is at least m.
     """
-    _require_separating_union_closed(f, "s_frequency_bound")
     relabeled, perm = frequency_order_relabel(f)
     s_collection(relabeled)  # validates the staircase; rows are m distinct members
     old = perm[relabeled.m - 1]
@@ -217,20 +213,16 @@ def s_frequency_bound(f: Family) -> tuple[int, int]:
 def minimal_counterexample_audit(f: Family) -> AuditReport:
     """Check one family against the conjecture and the counterexample deductions.
 
-    For a satisfying family only the first three flags are filled. For a
-    violating family (none is expected at desk scale) the deduction chain for
+    Raises DomainError unless f is separating and union-closed. For a
+    satisfying family only ``conjecture_holds`` is filled. For a violating
+    family (none is expected at desk scale) the deduction chain for
     a minimal counterexample is evaluated: odd size, maximal frequency exactly
     (|F|-1)/2, and |F| >= 4m-1.
     """
-    closed = is_union_closed(f)
-    separating = is_separating(f)
-    if not closed or not separating:
-        raise DomainError("audit requires a separating union-closed family")
+    _require_separating_union_closed(f, "minimal_counterexample_audit")
     verdict = check_conjecture(f)
     if verdict.holds:
         return AuditReport(
-            union_closed=True,
-            separating=True,
             conjecture_holds=True,
             parity_ok=None,
             maxfreq_equals_n=None,
@@ -244,8 +236,6 @@ def minimal_counterexample_audit(f: Family) -> AuditReport:
     maxfreq_equals_n = parity_ok and top == (n - 1) // 2
     size_bound_ok = n >= 4 * m - 1
     return AuditReport(
-        union_closed=True,
-        separating=True,
         conjecture_holds=False,
         parity_ok=parity_ok,
         maxfreq_equals_n=maxfreq_equals_n,

@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import ucw
+from ucw import structure
 from ucw.cli import main
 from ucw.constructions import renaud_family
 from ucw.core import is_separating, is_union_closed, max_frequency
@@ -112,6 +114,21 @@ def test_analyze_b23(capsys):
     assert pairs["conjecture"] == "holds"
     assert pairs["s_table_rows"] == "5"
     assert int(pairs["s_bound_frequency"]) >= 5
+
+
+def test_analyze_builds_the_staircase_once(capsys, monkeypatch):
+    calls = Counter()
+    for name in ("frequency_order_relabel", "s_collection"):
+        fn = getattr(structure, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(structure, name, counted)
+    code, _, _ = run_cli(capsys, "analyze", str(GOLDEN / "b23.ucs"))
+    assert code == 0
+    assert calls == {"frequency_order_relabel": 1, "s_collection": 1}
 
 
 def test_analyze_emits_stable_audit_keys(capsys):
@@ -237,6 +254,29 @@ def test_golden_roundtrip_all_files():
 
 def test_golden_b23_regenerates_byte_identical():
     assert serialize_family(renaud_family(23)) == (GOLDEN / "b23.ucs").read_text()
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+@pytest.mark.parametrize(
+    "name, gen",
+    [
+        ("b23", None),
+        ("block_3_2", None),
+        ("hand56", None),
+        ("pad_p3", None),
+        ("b1000", ["renaud", "-n", "1000"]),
+        ("c43", ["block-upset", "-s", "4", "-k", "3"]),
+    ],
+)
+def test_report_matches_pinned_text(capsys, tmp_path, name, gen, command):
+    # the whole report, every line and its order, as the reports/ files hold it
+    path = GOLDEN / f"{name}.ucs"
+    if gen:
+        path = tmp_path / f"{name}.ucs"
+        assert run_cli(capsys, "gen", *gen, "-o", str(path))[0] == 0
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "reports" / f"{name}.{command}").read_text()
 
 
 def test_console_script_entry():

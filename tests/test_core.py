@@ -62,6 +62,16 @@ def test_family_canonical_order():
         Family(65, ())
 
 
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(min_value=1, max_value=64), data=st.data())
+def test_family_contains_matches_set_membership(m, data):
+    masks = st.integers(min_value=0, max_value=(1 << m) - 1)
+    fam = Family.from_sets(m, data.draw(st.sets(masks, max_size=30)))
+    probes = data.draw(st.lists(masks, max_size=10)) + list(fam.sets)
+    for x in probes + [-1, 1 << m]:
+        assert (x in fam) == (x in set(fam.sets))
+
+
 def test_close_under_union_forced_single():
     fam = close_under_union([mask_of([1, 2]), mask_of([3])], 3)
     assert fam.sets == (mask_of([3]), mask_of([1, 2]), mask_of([1, 2, 3]))
@@ -200,6 +210,36 @@ def test_membership_columns_match_per_element_reference(m, data):
     sets = data.draw(st.sets(st.integers(min_value=0, max_value=(1 << m) - 1), max_size=40))
     fam = Family.from_sets(m, sets)
     assert membership_columns(fam) == _per_element_columns(fam)
+
+
+def _per_element_quotient(f: Family) -> tuple[Family, dict[int, int]]:
+    # reference: label each column at its smallest element, then move each
+    # member's bits one element at a time
+    cols = _per_element_columns(f)
+    labels, mapping = {}, {}
+    for e in sorted(cols):
+        mapping[e] = labels.setdefault(cols[e], len(labels) + 1)
+    sets = []
+    for s in f.sets:
+        t = 0
+        for e in mapping:
+            if s >> (e - 1) & 1:
+                t |= 1 << (mapping[e] - 1)
+        sets.append(t)
+    return Family.from_sets(max(1, len(labels)), sets), mapping
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.sampled_from([1, 7, 8, 9, 16, 17, 63, 64]),
+    empty=st.booleans(),
+    data=st.data(),
+)
+def test_separating_quotient_matches_per_element_reference(m, empty, data):
+    # few members over many elements, so many columns coincide
+    raw = data.draw(st.sets(st.integers(min_value=1, max_value=(1 << m) - 1), max_size=8))
+    fam = Family.from_sets(m, raw | ({0} if empty else set()))
+    assert separating_quotient(fam) == _per_element_quotient(fam)
 
 
 def test_separating_quotient_merges_identical_columns():

@@ -1,11 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucw.constructions import renaud_family
 from ucw.core import (
     DomainError,
     Family,
+    close_under_union,
     elements_of,
     frequencies,
+    is_separating,
     power_set_family,
     restrict,
     universe_of,
@@ -49,6 +53,34 @@ def test_frequency_order_relabel_b23():
     assert perm[0] == 5
     counts = frequencies(relabeled)
     assert counts == tuple(sorted(counts))
+
+
+def _per_element_relabel(f: Family) -> tuple[Family, tuple[int, ...]]:
+    # reference: order the used elements by (count, element), then move
+    # each member's bits one element at a time
+    counts = {e: sum(s >> (e - 1) & 1 for s in f.sets) for e in range(1, f.m + 1)}
+    order = sorted((e for e in counts if counts[e]), key=lambda e: (counts[e], e))
+    sets = [sum(1 << i for i, e in enumerate(order) if s >> (e - 1) & 1) for s in f.sets]
+    return Family.from_sets(len(order), sets), tuple(order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.sampled_from([1, 7, 8, 9, 16, 17, 63, 64]),
+    empty=st.booleans(),
+    data=st.data(),
+)
+def test_frequency_order_relabel_matches_per_element_reference(m, empty, data):
+    # the sets "used minus one element" separate every used element, and
+    # unions with them stay among them or give `used`, so the family is small
+    full = (1 << m) - 1
+    used = data.draw(st.integers(min_value=1, max_value=full))
+    gens = data.draw(st.lists(st.integers(min_value=1, max_value=full), max_size=5))
+    gens = [g & used for g in gens if g & used]
+    gens += [used] + [used ^ (1 << e) for e in range(m) if used >> e & 1]
+    fam = close_under_union(gens + ([0] if empty else []), m)
+    assert is_separating(fam)
+    assert frequency_order_relabel(fam) == _per_element_relabel(fam)
 
 
 def test_frequency_order_relabel_rejects_non_separating():
@@ -230,5 +262,4 @@ def test_audit_random(rng):
         if not any(fam.sets):
             continue
         report = minimal_counterexample_audit(fam)
-        assert report.union_closed and report.separating
         assert report.conjecture_holds
