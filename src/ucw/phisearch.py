@@ -37,15 +37,20 @@ least one non-empty member, of the largest element frequency. Two routes:
   worker processes can split the tasks without sharing state.
 
 The witness reported with phi(n) is the balanced-deletion family when the
-bound is tight (it always is on the verified range) or the lexicographically
-smallest canonical improving family otherwise.
+bound is tight (it always is on the verified range); otherwise, as in
+:func:`phi_naive`, it is the least tied family by sorted member sizes, then
+by its member tuple in canonical order. That is also the least over every
+relabeling of the tied families, since each pool holds the least relabeling
+of each member: phi_naive's pool, every union-closed n-subset of P(m) with
+the least frequency and sizes, is closed under relabeling, and in
+phi_search the least relabeling starts, after any ∅, with a prefix block
+whose traversal reaches it on [m_cap] with the same frequencies.
 """
 
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations
 from multiprocessing import get_context
 
 from .constructions import beta, conway, renaud_family
@@ -99,47 +104,15 @@ class SearchBudgetError(RuntimeError):
         return (type(self), (self.n, self.incumbent, self.witness, self.visited))
 
 
-def _keyed(sets: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    return tuple(canonical_key(s) for s in sets)
+def _least_family(m: int, pool) -> Family:
+    """The pool's least family: least sorted member sizes first, then least
+    member tuple in canonical (cardinality, value) order."""
 
+    def key(sets):
+        keyed = sorted(map(canonical_key, sets))
+        return [size for size, _ in keyed], keyed
 
-def _canonical_family(sets: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """Smallest canonical mask tuple over all relabelings, compared in
-    canonical (cardinality, value) order."""
-    best = None
-    best_masks = None
-    # Not core._relabel: its tables cost more than they save on the few
-    # small masks relabeled here m! times (phi_naive(6) ran slower with it).
-    for perm in permutations(range(m)):
-        relab = []
-        for s in sets:
-            t = 0
-            for e in range(m):
-                if s >> e & 1:
-                    t |= 1 << perm[e]
-            relab.append(t)
-        relab.sort(key=canonical_key)
-        keyed = _keyed(relab)
-        if best is None or keyed < best:
-            best = keyed
-            best_masks = tuple(relab)
-    return best_masks
-
-
-def _canonical_min_family(families, m: int) -> tuple[int, ...]:
-    """Canonical-min representative of a collection of families.
-
-    Relabeling never changes member cardinalities, so only families whose
-    sorted size multiset is lexicographically minimal can win; the full
-    permutation scan runs on those alone.
-    """
-
-    def size_key(sets):
-        return tuple(sorted(s.bit_count() for s in sets))
-
-    cutoff = min(size_key(f) for f in families)
-    pool = sorted({f for f in families if size_key(f) == cutoff})
-    return min((_canonical_family(f, m) for f in pool), key=_keyed)
+    return Family.from_sets(m, min(pool, key=key))
 
 
 def phi_naive(n: int, m_max: int | None = None) -> SearchResult:
@@ -149,16 +122,18 @@ def phi_naive(n: int, m_max: int | None = None) -> SearchResult:
     dies once a forced union (of two chosen sets) below the next candidate is
     missing, or more unions are owed than slots remain. Families with no
     non-empty member are excluded. Of the families with the least maximal
-    frequency, only those with the least sorted member sizes are kept:
-    relabeling keeps member sizes, so only they can give the witness.
+    frequency, only those with the least sorted member sizes are kept, since
+    only they can give the witness.
     """
     if not 1 <= n <= PHI_NAIVE_MAX_N:
         raise DomainError(f"phi_naive supports 1 <= n <= {PHI_NAIVE_MAX_N}")
     m = min(n, PHI_NAIVE_MAX_N) if m_max is None else m_max
     if not 1 <= m <= PHI_NAIVE_MAX_N:
-        raise DomainError(f"phi_naive supports m_max <= {PHI_NAIVE_MAX_N}")
-    start = time.perf_counter()
+        raise DomainError(f"phi_naive supports 1 <= m_max <= {PHI_NAIVE_MAX_N}")
     top = 1 << m
+    if n > top:
+        raise DomainError(f"phi_naive needs n <= 2^m_max = {top}")
+    start = time.perf_counter()
     best = None  # (maximal frequency, sorted member sizes) of best_families
     best_families: list[tuple[int, ...]] = []
     nodes = 0
@@ -199,8 +174,7 @@ def phi_naive(n: int, m_max: int | None = None) -> SearchResult:
             chosen.pop()
 
     rec([], set(), 0)
-    assert best is not None
-    witness = Family.from_sets(m, _canonical_min_family(best_families, m))
+    witness = _least_family(m, best_families)
     return SearchResult(best[0], witness, nodes, time.perf_counter() - start)
 
 
@@ -307,12 +281,8 @@ def phi_search(config: SearchConfig) -> SearchResult:
     if not improving:
         return SearchResult(incumbent, fallback, visited, duration, violations)
     value = min(v for v, _ in improving)
-    witness_sets = _canonical_min_family(
-        [sets for v, sets in improving if v == value], m_cap
-    )
-    return SearchResult(
-        value, Family.from_sets(m_cap, witness_sets), visited, duration, violations
-    )
+    witness = _least_family(m_cap, [sets for v, sets in improving if v == value])
+    return SearchResult(value, witness, visited, duration, violations)
 
 
 @dataclass(frozen=True)

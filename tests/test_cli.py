@@ -213,6 +213,30 @@ def test_search_phi_naive(capsys):
     assert len(witness) == 3 and max_frequency(witness)[1] == 2
 
 
+SEARCH_CASES = (
+    [(f"phi-{n}", ["-n", str(n)]) for n in range(1, 11)]
+    + [(f"naive-{n}", ["-n", str(n), "--naive"]) for n in range(1, 6)]
+    + [(f"naive-{n}-m3", ["-n", str(n), "--naive", "--m-max", "3"]) for n in range(1, 6)]
+)
+
+
+@pytest.mark.parametrize("name, argv", SEARCH_CASES)
+def test_search_matches_pinned_output(capsys, name, argv):
+    # phi, visited, violations and the witness, as the search/ files hold them
+    code, out, err = run_cli(capsys, "search", "phi", *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "search" / f"{name}.out").read_text()
+
+
+@pytest.mark.parametrize("n, m", [(3, 1), (4, 1), (5, 1), (5, 2), (6, 1), (6, 2)])
+def test_search_phi_naive_more_sets_than_the_power_set_exit_2(capsys, n, m):
+    code, out, err = run_cli(
+        capsys, "search", "phi", "-n", str(n), "--naive", "--m-max", str(m)
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: phi_naive needs n <= 2^m_max = {1 << m}\n"
+
+
 def test_search_phi_workers_deterministic(capsys, tmp_path):
     outputs = []
     for workers in ("1", "4", "8"):

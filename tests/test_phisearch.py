@@ -1,4 +1,5 @@
-from itertools import combinations
+from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,18 +9,20 @@ from ucw.constructions import beta, conway
 from ucw.core import (
     DomainError,
     Family,
+    canonical_key,
     check_conjecture,
     close_under_union,
     frequencies,
     is_union_closed,
     max_frequency,
 )
+from ucw.familyfile import serialize_family
 from ucw.phisearch import (
     SearchBudgetError,
     SearchConfig,
     SearchResult,
     _branch_enumerate,
-    _canonical_family,
+    _least_family,
     _pool_size,
     phi_naive,
     phi_search,
@@ -27,6 +30,7 @@ from ucw.phisearch import (
 )
 
 A = conway(12)
+SEARCH_GOLDEN = Path(__file__).parent / "golden" / "search"
 
 
 def test_phi_naive_small_values():
@@ -80,6 +84,14 @@ def test_phi_naive_scale_guard():
         phi_naive(7)
     with pytest.raises(DomainError):
         phi_naive(3, m_max=7)
+    with pytest.raises(DomainError, match="1 <= m_max"):
+        phi_naive(3, m_max=0)
+
+
+@pytest.mark.parametrize("n, m", [(3, 1), (4, 1), (5, 1), (5, 2), (6, 1), (6, 2)])
+def test_phi_naive_rejects_more_sets_than_the_power_set(n, m):
+    with pytest.raises(DomainError, match="n <= 2\\^m_max"):
+        phi_naive(n, m)
 
 
 def test_phi_search_matches_naive_through_5():
@@ -87,9 +99,21 @@ def test_phi_search_matches_naive_through_5():
         assert phi_search(SearchConfig(n)).phi == phi_naive(n).phi
 
 
+def _as_printed(result: SearchResult) -> str:
+    # the text ``ucw search phi`` prints for a result
+    return (
+        f"phi: {result.phi}\nvisited: {result.visited}\n"
+        f"conjecture_violations: {result.conjecture_violations}\n"
+        + serialize_family(result.witness)
+    )
+
+
 def test_phi_search_matches_naive_at_6():
     # the full oracle scale: a few seconds of exhaustive enumeration
-    assert phi_search(SearchConfig(6)).phi == phi_naive(6).phi == 4
+    search, naive = phi_search(SearchConfig(6)), phi_naive(6)
+    assert search.phi == naive.phi == 4
+    assert _as_printed(search) == (SEARCH_GOLDEN / "phi-6.out").read_text()
+    assert _as_printed(naive) == (SEARCH_GOLDEN / "naive-6.out").read_text()
 
 
 def test_phi_search_equals_conway_through_9():
@@ -170,12 +194,27 @@ def _union_closed_families(m: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _canonical_family(sets, m):
+    # reference canonical form: the least member tuple, compared by
+    # canonical key, over all m! relabelings
+    best = None
+    for perm in permutations(range(m)):
+        relab = sorted(
+            (sum(1 << perm[e] for e in range(m) if s >> e & 1) for s in sets),
+            key=canonical_key,
+        )
+        keyed = [canonical_key(s) for s in relab]
+        if best is None or keyed < best[0]:
+            best = (keyed, tuple(relab))
+    return best[1]
+
+
 def _search_families(n, t, m_cap):
-    # one traversal per prefix block, as phi_search schedules them
+    # one traversal per prefix block, as phi_search schedules them;
+    # (largest frequency, members) of each recorded family
     found = []
     for j in range(1, m_cap + 1):
-        task = (t, m_cap, (1 << j) - 1, n, 10**6)
-        found += [sets for _, sets in _branch_enumerate(task)[2]]
+        found += _branch_enumerate((t, m_cap, (1 << j) - 1, n, 10**6))[2]
     return found
 
 
@@ -184,8 +223,8 @@ def test_search_reaches_each_family_once(n):
     leaves = 0
     for m_cap in range(1, 5):
         families = _union_closed_families(m_cap, n)
-        for t in (A[n - 1], A[n - 1] + 1):  # phi(n) = a(n) here
-            found = _search_families(n, t, m_cap)
+        for t in range(1, 6):
+            found = [sets for _, sets in _search_families(n, t, m_cap)]
             # (a) no labelled family twice, ∅ included by the fold
             assert len(found) == len(set(found)), (n, m_cap, t)
             leaves += len(found)
@@ -199,6 +238,44 @@ def test_search_reaches_each_family_once(n):
                 n, m_cap, t,
             )
     assert leaves > 0
+
+
+def _reference_witness(pool, m):
+    # the least canonical form over the pool, among the least sorted sizes
+    def sizes(sets):
+        return sorted(s.bit_count() for s in sets)
+
+    least = min(map(sizes, pool))
+    forms = [_canonical_family(sets, m) for sets in pool if sizes(sets) == least]
+    return Family.from_sets(m, min(forms, key=lambda f: [canonical_key(s) for s in f]))
+
+
+def test_witness_pick_orders_by_sizes_first():
+    # {1},{2},{1,2},{1,2,3} wins member by member but has the larger sizes
+    pool = [(1, 2, 3, 7), (1, 4, 5, 6)]
+    assert _least_family(3, pool).sets == (1, 4, 5, 6)
+    # members may come in any order (phi_naive's are numeric)
+    assert _least_family(3, [(6, 1, 4, 5), (1, 2, 3, 7)]).sets == (1, 4, 5, 6)
+
+
+def test_witness_pick_matches_the_relabeling_scan():
+    # the tie pools phi_search's improving branch would meet on a small
+    # scale: n = 2..9, t in {a(n), a(n)+1}, m_cap <= min(5, t), wherever
+    # the traversal records a family
+    pools = 0
+    for n in range(2, 10):
+        for t in (A[n - 1], A[n - 1] + 1):
+            for m_cap in range(1, min(5, t) + 1):
+                found = _search_families(n, t, m_cap)
+                if not found:
+                    continue
+                value = min(v for v, _ in found)
+                pool = [sets for v, sets in found if v == value]
+                assert _least_family(m_cap, pool) == _reference_witness(pool, m_cap), (
+                    n, t, m_cap,
+                )
+                pools += 1
+    assert pools == 31
 
 
 def _closed_top_and_size(m: int) -> list[tuple[int, int]]:
