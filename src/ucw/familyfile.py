@@ -114,16 +114,25 @@ def parse_family(text: str) -> Family:
     return Family.from_sets(m, ordered)
 
 
-def _set_line(mask: int) -> str:
-    if mask == 0:
-        return "-"
-    return " ".join(str(e) for e in elements_of(mask))
-
-
 def serialize_family(f: Family) -> str:
-    """Canonical rendering; byte-stable for equal families."""
+    """Canonical rendering; byte-stable for equal families.
+
+    A set line is built a byte of the mask at a time: for each 8-element
+    block the text of all 256 byte values is made once, and a line joins
+    the pieces of the mask's non-zero bytes.
+    """
+    width = (f.m + 7) // 8
+    pieces = [
+        [" ".join(str(base + e) for e in elements_of(b)) for b in range(256)]
+        for base in range(0, 8 * width, 8)
+    ]
     lines = [HEADER, f"m={f.m}"]
-    lines.extend(_set_line(s) for s in f.sets)
+    for s in f.sets:
+        if s:
+            chunks = s.to_bytes(width, "little")
+            lines.append(" ".join([p[b] for p, b in zip(pieces, chunks) if b]))
+        else:
+            lines.append("-")
     return "\n".join(lines) + "\n"
 
 

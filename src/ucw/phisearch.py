@@ -23,16 +23,20 @@ least one non-empty member, of the largest element frequency. Two routes:
   canonical order, and each insertion x into the union-closed F closes in
   one pass to F ∪ {x} ∪ {x|f : f ∈ F}. The one prune is the frequency cap:
   a branch dies when some frequency passes t, as it does in every
-  superset. The tree thus depends on t and the column cap, not on n; n
-  enters only at the nodes, where a node of n sets is recorded as found
-  and a node of n-1 sets is recorded with ∅ added. (Pruning against n as
-  well, by a closure that overruns n sets or too few free frequency
-  slots for the members still owed, cuts at most three nodes of such a
-  tree for n <= 12, and would need a second traversal for the ∅ fold.
-  No test of the distinct-column count is needed either: every node is
-  union-closed, so more than t distinct non-zero columns already force a
-  frequency above t.) Within a root task each family is reached exactly
-  once, and the tasks reach disjoint families (each task fixes the
+  superset. Closure is monotone, so a candidate the cap rejects at a node
+  is rejected at every descendant: each node tests its candidates once
+  and hands each child only the later candidates that passed, their
+  augmentations updated by the sets the child added, instead of
+  rescanning every later mask. The tree thus depends on t and the column
+  cap, not on n; n enters only at the nodes, where a node of n sets is
+  recorded as found and a node of n-1 sets is recorded with ∅ added.
+  (Pruning against n as well, by a closure that overruns n sets or too
+  few free frequency slots for the members still owed, cuts at most three
+  nodes of such a tree for n <= 12, and would need a second traversal for
+  the ∅ fold. No test of the distinct-column count is needed either: every
+  node is union-closed, so more than t distinct non-zero columns already
+  force a frequency above t.) Within a root task each family is reached
+  exactly once, and the tasks reach disjoint families (each task fixes the
   smallest non-empty member), so node counts are schedule-independent and
   worker processes can split the tasks without sharing state.
 
@@ -124,6 +128,15 @@ def phi_naive(n: int, m_max: int | None = None) -> SearchResult:
     non-empty member are excluded. Of the families with the least maximal
     frequency, only those with the least sorted member sizes are kept, since
     only they can give the witness.
+
+    The owed unions are a bit word over the 2^m subsets. A node with one
+    slot left counts its children in bulk instead of visiting them: every
+    chosen set lies below a child x, so x owes no new union exactly when it
+    contains the union of the chosen sets, and the child survives only if
+    it also pays the one union still owed (if any). So of the p + 1 - lo
+    children up to the owed union p, or the top - lo children when nothing
+    is owed, only those leaves are evaluated; ``visited`` still counts them
+    all.
     """
     if not 1 <= n <= PHI_NAIVE_MAX_N:
         raise DomainError(f"phi_naive supports 1 <= n <= {PHI_NAIVE_MAX_N}")
@@ -134,46 +147,72 @@ def phi_naive(n: int, m_max: int | None = None) -> SearchResult:
     if n > top:
         raise DomainError(f"phi_naive needs n <= 2^m_max = {top}")
     start = time.perf_counter()
+    # element counts packed 4 bits per element; a count is at most n <= 6,
+    # so adding 7 - v to every count sets a field's top bit iff it exceeds v
+    spread = [sum(1 << 4 * e for e in range(m) if s >> e & 1) for s in range(top)]
+    ones = spread[top - 1]
+    high = 8 * ones
+    shifts = range(0, 4 * m, 4)
     best = None  # (maximal frequency, sorted member sizes) of best_families
     best_families: list[tuple[int, ...]] = []
-    nodes = 0
+    over_best = 0  # 7 - best frequency in every field, once there is a best
+    nodes = 1  # the root
 
-    def rec(chosen: list[int], pending: set[int], lo: int):
-        nonlocal best, best_families, nodes
-        nodes += 1
+    def leaf(chosen: list[int], x: int, packed: int):
+        nonlocal best, best_families, over_best
+        packed += spread[x]
+        if (packed + over_best) & high:
+            return  # some frequency above the best
+        value = max(packed >> shift & 15 for shift in shifts)
+        if value == 0:
+            return
+        family = (*chosen, x)
+        key = (value, sorted(s.bit_count() for s in family))
+        if best is None or key < best:
+            best = key
+            best_families = [family]
+            over_best = (7 - value) * ones
+        elif key == best:
+            best_families.append(family)
+
+    def rec(chosen: list[int], pending: int, lo: int, packed: int, union: int):
+        # a visited node that owes no more unions than it has slots
+        nonlocal nodes
         room = n - len(chosen)
-        if len(pending) > room:
+        if room == 1:
+            if pending:
+                p = (pending & -pending).bit_length() - 1
+                nodes += p + 1 - lo
+                if p & union == union:
+                    leaf(chosen, p, packed)
+            else:
+                nodes += top - lo
+                free = (top - 1) & ~union
+                sub = free
+                while True:  # the supersets of union, from the top down
+                    x = union | sub
+                    if x < lo:
+                        break
+                    leaf(chosen, x, packed)
+                    if not sub:
+                        break
+                    sub = (sub - 1) & free
             return
-        if room == 0:
-            counts = [0] * m
-            for s in chosen:
-                for e in range(m):
-                    if s >> e & 1:
-                        counts[e] += 1
-            value = max(counts)
-            if value == 0 or best is not None and value > best[0]:
-                return
-            key = (value, sorted(s.bit_count() for s in chosen))
-            if best is None or key < best:
-                best = key
-                best_families = [tuple(chosen)]
-            elif key == best:
-                best_families.append(tuple(chosen))
-            return
-        limit = min(pending) if pending else top - 1
+        limit = (pending & -pending).bit_length() - 1 if pending else top - 1
         for x in range(lo, limit + 1):
-            fresh = set()
-            for y in chosen:
+            nodes += 1
+            owed = pending & ~(1 << x)
+            for y in chosen:  # y < x, so x | y is x or a new set above x
                 u = x | y
-                if u != x and u != y:
-                    fresh.add(u)
-            nxt = pending | fresh
-            nxt.discard(x)
+                if u != x:
+                    owed |= 1 << u
+            if owed.bit_count() >= room:
+                continue
             chosen.append(x)
-            rec(chosen, nxt, x + 1)
+            rec(chosen, owed, x + 1, packed + spread[x], union | x)
             chosen.pop()
 
-    rec([], set(), 0)
+    rec([], 0, 0, 0, 0)
     witness = _least_family(m, best_families)
     return SearchResult(best[0], witness, nodes, time.perf_counter() - start)
 
@@ -186,50 +225,80 @@ def _branch_enumerate(args):
     Improving families are the nodes of n sets and, with ∅ added, the nodes
     of n-1 sets. The half-membership check counts each node twice, with
     and without ∅, since ∅ adds a member and no frequency.
+
+    Each node holds its candidates: the later masks whose augmentation
+    keeps every frequency <= t, each with that augmentation and the
+    element counts it gives. A child inherits only the candidates after
+    its own, and updates each augmentation by the sets the child added.
     """
     t, m_cap, first_mask, n, node_budget = args
     masks = sorted(range(1 << m_cap), key=canonical_key)
-    rank = {s: i for i, s in enumerate(masks)}
-    bits = {s: [e for e in range(m_cap) if s >> e & 1] for s in masks}
+    # element counts packed `width` bits per element, each field biased so
+    # that its top bit is set exactly when the count passes t; a family on
+    # [m_cap] has at most 2^m_cap members, so no field carries into the next
+    width = max(m_cap, t.bit_length()) + 2
+    field = (1 << width) - 1
+    spread = [
+        sum(1 << width * e for e in range(m_cap) if s >> e & 1)
+        for s in range(1 << m_cap)
+    ]
+    ones = spread[-1]
+    bias = (1 << width - 1) - 1 - t
+    over = (1 << width - 1) * ones
+    lift = [(t + 1 - k) * ones for k in range(t + 1)]  # top bit iff count >= k
+    shifts = range(0, width * m_cap, width)
     found: list[tuple[int, tuple[int, ...]]] = []
     nodes = 0
     violations = 0
 
-    def dfs(fam: frozenset, counts: list[int], last: int):
+    def dfs(fam: frozenset, packed: int, candidates: list):
         nonlocal nodes, violations
         nodes += 1
         if nodes > node_budget:
             raise SearchBudgetError(n, t + 1, None, nodes)
         size = len(fam)
-        top_count = max(counts)
-        violations += (2 * top_count < size) + (2 * top_count < size + 1)
-        if size == n:
-            found.append((top_count, tuple(sorted(fam, key=canonical_key))))
-        elif size == n - 1:
-            found.append((top_count, (0,) + tuple(sorted(fam, key=canonical_key))))
-        for idx in range(last + 1, len(masks)):
-            x = masks[idx]
-            if x in fam:
-                continue
-            new = _union_augment(fam, x)
-            nc = counts[:]
-            ok = True
-            for s in new:
-                for e in bits[s]:
-                    nc[e] += 1
-                    if nc[e] > t:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            dfs(fam | new, nc, idx)
+        # a count of size // 2 + 1 or more rules out both violations, and
+        # is one test on the packed counts; unpack only when it fails or
+        # the node is recorded
+        half = size // 2 + 1
+        if n - 1 <= size <= n or half > t or not (packed + lift[half]) & over:
+            top_count = max(packed >> shift & field for shift in shifts) - bias
+            violations += (2 * top_count < size) + (2 * top_count < size + 1)
+            if size == n:
+                found.append((top_count, tuple(sorted(fam, key=canonical_key))))
+            elif size == n - 1:
+                found.append((top_count, (0,) + tuple(sorted(fam, key=canonical_key))))
+        for i, (_, added, child_packed) in enumerate(candidates):
+            child = fam | added
+            inherited = []
+            for z, new, _ in candidates[i + 1 :]:
+                if z in added:
+                    continue
+                # closure of child + z: z's sets beyond fam, less those the
+                # child added, and z's unions with the added sets
+                new = new - added
+                for g in added:
+                    u = z | g
+                    if u not in child:
+                        new.add(u)
+                z_packed = child_packed
+                for u in new:
+                    z_packed += spread[u]
+                if not z_packed & over:
+                    inherited.append((z, new, z_packed))
+            dfs(child, child_packed, inherited)
 
-    counts0 = [0] * m_cap
-    for e in bits[first_mask]:
-        counts0[e] = 1
-    dfs(frozenset((first_mask,)), counts0, rank[first_mask])
+    fam = frozenset((first_mask,))
+    packed = bias * ones + spread[first_mask]
+    candidates = []
+    for x in masks[masks.index(first_mask) + 1 :]:
+        new = _union_augment(fam, x)
+        x_packed = packed
+        for u in new:
+            x_packed += spread[u]
+        if not x_packed & over:
+            candidates.append((x, new, x_packed))
+    dfs(fam, packed, candidates)
     return nodes, violations, found
 
 

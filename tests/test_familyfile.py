@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucw.core import Family, close_under_union
+from ucw.core import Family, close_under_union, elements_of
 from ucw.familyfile import (
     BAD_HEADER,
     BAD_SET_LINE,
@@ -96,3 +96,16 @@ def test_roundtrip_random_families(m, data):
     )
     fam = close_under_union(gens, m)
     assert parse_family(serialize_family(fam)) == fam
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(min_value=1, max_value=64), data=st.data())
+def test_serialize_matches_per_element_rendering(m, data):
+    # the per-byte text tables against one str(e) per element, on every
+    # byte offset up to m = 64
+    sets = data.draw(
+        st.lists(st.integers(min_value=0, max_value=(1 << m) - 1), min_size=1, max_size=8)
+    )
+    fam = Family.from_sets(m, sets)
+    lines = [" ".join(map(str, elements_of(s))) or "-" for s in fam.sets]
+    assert serialize_family(fam) == "\n".join(["ucs 1", f"m={m}", *lines]) + "\n"

@@ -56,11 +56,10 @@ def test_phi_naive_phi2_witness_uses_empty_set():
 
 def test_phi_naive_agrees_with_plain_enumeration():
     # independent check of the pruned enumerator against the literal
-    # all-subsets definition at toy scale
-    from itertools import combinations
-
+    # all-subsets definition at toy scale: phi, and the witness as the
+    # least tied family by sorted sizes, then by canonical members
     def plain(n, m):
-        best = None
+        tops = {}
         for combo in combinations(range(1 << m), n):
             members = set(combo)
             if not all((a | b) in members for a in combo for b in combo):
@@ -68,15 +67,129 @@ def test_phi_naive_agrees_with_plain_enumeration():
             top = max(
                 sum(1 for s in combo if s >> e & 1) for e in range(m)
             )
-            if top == 0:
-                continue
-            if best is None or top < best:
-                best = top
-        return best
+            if top:
+                tops[combo] = top
+        best = min(tops.values())
+        witness = min(
+            (combo for combo, top in tops.items() if top == best),
+            key=lambda c: (
+                sorted(s.bit_count() for s in c),
+                sorted(map(canonical_key, c)),
+            ),
+        )
+        return best, Family.from_sets(m, witness)
 
     for n in range(1, 5):
         m = min(n, 4)
-        assert phi_naive(n, m).phi == plain(n, m)
+        result = phi_naive(n, m)
+        assert (result.phi, result.witness) == plain(n, m), n
+
+
+def _naive_reference(n, m):
+    # phi_naive as first written: pending unions as a set, one call per
+    # node down to the leaves, each leaf's counts taken bit by bit
+    best = None
+    best_families = []
+    nodes = 0
+
+    def rec(chosen, pending, lo):
+        nonlocal best, best_families, nodes
+        nodes += 1
+        room = n - len(chosen)
+        if len(pending) > room:
+            return
+        if room == 0:
+            counts = [0] * m
+            for s in chosen:
+                for e in range(m):
+                    if s >> e & 1:
+                        counts[e] += 1
+            value = max(counts)
+            if value == 0 or best is not None and value > best[0]:
+                return
+            key = (value, sorted(s.bit_count() for s in chosen))
+            if best is None or key < best:
+                best = key
+                best_families = [tuple(chosen)]
+            elif key == best:
+                best_families.append(tuple(chosen))
+            return
+        limit = min(pending) if pending else (1 << m) - 1
+        for x in range(lo, limit + 1):
+            fresh = set()
+            for y in chosen:
+                u = x | y
+                if u != x and u != y:
+                    fresh.add(u)
+            nxt = pending | fresh
+            nxt.discard(x)
+            chosen.append(x)
+            rec(chosen, nxt, x + 1)
+            chosen.pop()
+
+    rec([], set(), 0)
+    return best[0], nodes, _least_family(m, best_families)
+
+
+@pytest.mark.parametrize(
+    "n, m",
+    [(n, m) for n in range(1, 6) for m in range(1, 7) if n <= 1 << m] + [(6, 3)],
+)
+def test_phi_naive_matches_the_per_node_reference(n, m):
+    # the bulk last-slot count visits the same tree: phi, visited, witness
+    result = phi_naive(n, m)
+    assert (result.phi, result.visited, result.witness) == _naive_reference(n, m)
+
+
+def _branch_reference(t, m_cap, first_mask, n):
+    # _branch_enumerate as first written: every node rescans every later
+    # mask and closes each from scratch against the whole family
+    masks = sorted(range(1 << m_cap), key=canonical_key)
+    bits = {s: [e for e in range(m_cap) if s >> e & 1] for s in masks}
+    found = []
+    nodes = 0
+    violations = 0
+
+    def dfs(fam, counts, last):
+        nonlocal nodes, violations
+        nodes += 1
+        size = len(fam)
+        top_count = max(counts)
+        violations += (2 * top_count < size) + (2 * top_count < size + 1)
+        if size == n:
+            found.append((top_count, tuple(sorted(fam, key=canonical_key))))
+        elif size == n - 1:
+            found.append((top_count, (0,) + tuple(sorted(fam, key=canonical_key))))
+        for idx in range(last + 1, len(masks)):
+            x = masks[idx]
+            if x in fam:
+                continue
+            new = {x} | {x | f for f in fam if x | f not in fam}
+            nc = counts[:]
+            for s in new:
+                for e in bits[s]:
+                    nc[e] += 1
+            if max(nc) <= t:
+                dfs(fam | new, nc, idx)
+
+    counts0 = [1 if first_mask >> e & 1 else 0 for e in range(m_cap)]
+    dfs(frozenset((first_mask,)), counts0, masks.index(first_mask))
+    return nodes, violations, sorted(found)
+
+
+@pytest.mark.parametrize(
+    "t, m_cap", [(t, m_cap) for t in range(1, 6) for m_cap in range(1, t + 1)]
+)
+def test_branch_enumerate_matches_the_rescanning_reference(t, m_cap):
+    # inherited candidate lists visit the same tree, task by task
+    for j in range(1, m_cap + 1):
+        for n in range(2, 13):
+            nodes, violations, found = _branch_enumerate(
+                (t, m_cap, (1 << j) - 1, n, 10**6)
+            )
+            assert (nodes, violations, sorted(found)) == _branch_reference(
+                t, m_cap, (1 << j) - 1, n
+            ), (j, n)
 
 
 def test_phi_naive_scale_guard():
