@@ -134,8 +134,7 @@ def audit_pairs(report: structure.AuditReport) -> list[tuple[str, str]]:
 
 def _cmd_analyze(args) -> int:
     fam = familyfile.load_family(args.family)
-    basis = core._basis_scan(fam)  # None unless union-closed
-    closed = basis is not None
+    closed = core.is_union_closed(fam)
     separating = core.is_separating(fam)
     pairs = [
         ("n", len(fam)),
@@ -143,7 +142,7 @@ def _cmd_analyze(args) -> int:
         ("union_closed", _bool(closed)),
         ("separating", _bool(separating)),
     ]
-    pairs.append(("basis_count", len(basis) if closed else "n/a"))
+    pairs.append(("basis_count", len(core.basis_sets(fam)) if closed else "n/a"))
     if any(fam.sets):
         element, top = core.max_frequency(fam)
         pairs += [("max_freq", top), ("max_freq_element", element)]

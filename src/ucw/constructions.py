@@ -30,7 +30,6 @@ Three families of results live here:
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .core import (
     CapacityError,
@@ -207,7 +206,6 @@ def balanced_deletion(universe: int, h: int, v: int) -> list[int]:
     return _balanced_select(universe, h, targets)
 
 
-@lru_cache(maxsize=64)
 def renaud_family(n: int) -> Family:
     """Materialize B(n): P(k) with 2^k - n balanced deletions among k-sets."""
     sched = _beta_schedule(n)

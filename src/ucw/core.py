@@ -6,14 +6,15 @@ capped at 64 elements so a mask always fits one machine word.
 
 A :class:`Family` is an immutable, deduplicated collection of masks in
 *canonical order*: ascending cardinality, ties broken by ascending numeric
-mask value. All operations in this module are pure functions on Python
-integers, with no package beyond the standard library; families are safe
-to share across threads.
+mask value. All operations in this module are functions on Python integers,
+with no package beyond the standard library. A family caches two derived
+facts on first use, its closure scan and its membership columns; both are
+deterministic, so a thread race only computes one of them twice.
 """
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 MAX_UNIVERSE = 64
 
@@ -54,6 +55,13 @@ def canonical_key(mask: SetMask) -> tuple[int, int]:
 def _check_universe(m: int) -> None:
     if not 1 <= m <= MAX_UNIVERSE:
         raise CapacityError(f"universe size must be in 1..{MAX_UNIVERSE}, got {m}")
+
+
+# _BIT_DIGITS[k] maps a byte to b"1" if its bit k is set, else to b"0"
+_BIT_DIGITS = [
+    bytes.maketrans(bytes(range(256)), bytes(48 + (b >> k & 1) for b in range(256)))
+    for k in range(8)
+]
 
 
 @dataclass(frozen=True)
@@ -102,6 +110,51 @@ class Family:
     def __iter__(self):
         return iter(self.sets)
 
+    @cached_property
+    def _basis(self) -> tuple[SetMask, ...] | None:
+        """The basis sets if the family is union-closed, else ``None``.
+
+        Walks the members in canonical order, keeping ``closed``, the union
+        closure of the members seen so far. A member already in ``closed`` is
+        a union of strictly smaller members; any other member is a basis set
+        and joins ``closed`` in one pass. ``closed`` only ever holds unions of
+        members and ends up holding every member, so the family is
+        union-closed exactly when no pass adds a non-member. The cost is about
+        n·|basis| set operations.
+        """
+        present = set(self.sets)
+        closed: set[int] = set()
+        basis = []
+        for s in self.sets:
+            if s in closed:
+                continue
+            new = _union_augment(closed, s)
+            if not new <= present:
+                return None
+            closed |= new
+            basis.append(s)
+        return tuple(basis)
+
+    @cached_property
+    def _columns(self) -> dict[int, int]:
+        """For each element of the universe, the bitmask of member indices holding it.
+
+        One pass per 8 elements takes each member's byte at that offset, last
+        member first; for each bit of the byte, translating those bytes gives
+        the column as a string of binary digits, which int() reads in linear
+        time.
+        """
+        cols: dict[int, int] = {}
+        if not self.sets:
+            return cols
+        for shift in range(0, self.m, 8):
+            row = bytes([s >> shift & 255 for s in reversed(self.sets)])
+            for k in range(min(8, self.m - shift)):
+                col = int(row.translate(_BIT_DIGITS[k]), 2)
+                if col:
+                    cols[shift + k + 1] = col
+        return cols
+
 
 def power_set_family(m: int) -> Family:
     """All 2^m subsets of [m] as a family."""
@@ -143,34 +196,9 @@ def close_under_union(generators, m: int) -> Family:
     return Family.from_sets(m, closed)
 
 
-def _basis_scan(f: Family) -> tuple[SetMask, ...] | None:
-    """The basis sets of ``f`` if it is union-closed, else ``None``.
-
-    Walks the members in canonical order, keeping ``closed``, the union
-    closure of the members seen so far. A member already in ``closed`` is a
-    union of strictly smaller members; any other member is a basis set and
-    joins ``closed`` in one pass. ``closed`` only ever holds unions of
-    members and ends up holding every member, so ``f`` is union-closed
-    exactly when no pass adds a non-member. The cost is about n·|basis| set
-    operations.
-    """
-    present = set(f.sets)
-    closed: set[int] = set()
-    basis = []
-    for s in f.sets:
-        if s in closed:
-            continue
-        new = _union_augment(closed, s)
-        if not new <= present:
-            return None
-        closed |= new
-        basis.append(s)
-    return tuple(basis)
-
-
 def is_union_closed(f: Family) -> bool:
-    """True iff the union of every pair of members is a member; see _basis_scan."""
-    return _basis_scan(f) is not None
+    """True iff the union of every pair of members is a member; see Family._basis."""
+    return f._basis is not None
 
 
 def universe_of(f: Family) -> SetMask:
@@ -185,17 +213,10 @@ def frequencies(f: Family) -> tuple[int, ...]:
     """Per-element membership counts; index a-1 holds the count of element a.
 
     The empty set contributes to no count but does count toward ``len(f)``.
-    One pass per 8 elements counts the members by their byte at that
-    offset; each byte value's count then goes to each of its set bits.
+    Each count is the number of set bits in the element's membership column.
     """
-    counts = [0] * f.m
-    for shift in range(0, f.m, 8):
-        for byte, count in Counter([s >> shift & 255 for s in f.sets]).items():
-            while byte:
-                low = byte & -byte
-                counts[shift + low.bit_length() - 1] += count
-                byte ^= low
-    return tuple(counts)
+    cols = f._columns
+    return tuple(cols.get(e, 0).bit_count() for e in range(1, f.m + 1))
 
 
 def max_frequency(f: Family) -> tuple[int, int]:
@@ -207,36 +228,18 @@ def max_frequency(f: Family) -> tuple[int, int]:
     return (counts.index(best) + 1, best)
 
 
-# _BIT_DIGITS[k] maps a byte to b"1" if its bit k is set, else to b"0"
-_BIT_DIGITS = [
-    bytes.maketrans(bytes(range(256)), bytes(48 + (b >> k & 1) for b in range(256)))
-    for k in range(8)
-]
-
-
 def membership_columns(f: Family) -> dict[int, int]:
     """For each element of U(f), the bitmask of member indices containing it.
 
-    One pass per 8 elements takes each member's byte at that offset, last
-    member first; for each bit of the byte, translating those bytes gives
-    the column as a string of binary digits, which int() reads in linear
-    time.
+    Bit k of a column stands for ``f.sets[k]``. The columns are built once
+    per family (see Family._columns); each call returns a fresh copy.
     """
-    cols: dict[int, int] = {}
-    if not f.sets:
-        return cols
-    for shift in range(0, f.m, 8):
-        row = bytes([s >> shift & 255 for s in reversed(f.sets)])
-        for k in range(min(8, f.m - shift)):
-            col = int(row.translate(_BIT_DIGITS[k]), 2)
-            if col:
-                cols[shift + k + 1] = col
-    return cols
+    return dict(f._columns)
 
 
 def is_separating(f: Family) -> bool:
     """True iff distinct elements of U(f) have distinct membership columns."""
-    cols = membership_columns(f)
+    cols = f._columns
     return len(set(cols.values())) == len(cols)
 
 
@@ -265,7 +268,7 @@ def separating_quotient(f: Family) -> tuple[Family, dict[int, int]]:
     their smallest original element, so the member count, the union-closure
     status and the multiset of per-class frequencies are all preserved.
     """
-    cols = membership_columns(f)
+    cols = f._columns
     by_col: dict[int, int] = {}
     for e in sorted(cols):
         by_col.setdefault(cols[e], e)
@@ -283,7 +286,7 @@ def basis_sets(f: Family) -> tuple[SetMask, ...]:
     present) is always a basis set. Requires a union-closed family. Returned
     in canonical order.
     """
-    basis = _basis_scan(f)
+    basis = f._basis
     if basis is None:
         raise DomainError("basis_sets requires a union-closed family")
     return basis

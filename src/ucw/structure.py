@@ -28,7 +28,7 @@ from .core import (
     is_separating,
     is_union_closed,
     max_frequency,
-    universe_of,
+    membership_columns,
 )
 
 
@@ -97,23 +97,20 @@ def s_collection(f: Family) -> STable:
     Row 0 is U(F); row i is the union of all members avoiding i. Separation
     plus the frequency ordering guarantee each i in 1..m-1 has an avoiding
     member, that the staircase pattern holds, and that all rows are distinct
-    members (hence m <= |F|).
+    members (hence m <= |F|). Row i holds j exactly when j's membership
+    column has a member outside i's column.
     """
     _require_separating_union_closed(f, "s_collection")
     _check_frequency_ordered(f, "s_collection")
     m = f.m
-    rows = [universe_of(f)]
+    cols = membership_columns(f)
+    everyone = (1 << len(f.sets)) - 1
+    rows = [(1 << m) - 1]  # the universe is exactly covered
     for i in range(1, m):
-        bit = 1 << (i - 1)
-        u = 0
-        seen = False
-        for s in f.sets:
-            if not s & bit:
-                u |= s
-                seen = True
-        if not seen:
+        if cols[i] == everyone:
             raise DomainError(f"element {i} has no avoiding member")
-        rows.append(u)
+        avoiders = everyone ^ cols[i]
+        rows.append(sum(1 << (j - 1) for j, col in cols.items() if col & avoiders))
     members = set(f.sets)
     for i, row in enumerate(rows):
         if row not in members:
@@ -133,15 +130,14 @@ def s_collection(f: Family) -> STable:
 def dominates(f: Family, b: int, c: int) -> bool:
     """True iff every member containing c also contains b.
 
-    Equivalent to c not lying in the universe of the b-avoiding sub-family.
+    Equivalent to c not lying in the universe of the b-avoiding sub-family,
+    and to c's membership column lying inside b's.
     """
-    u = universe_of(f)
+    cols = membership_columns(f)
     for e in (b, c):
-        if not (1 <= e <= f.m and u >> (e - 1) & 1):
+        if e not in cols:
             raise DomainError(f"element {e} not in the universe")
-    bbit = 1 << (b - 1)
-    cbit = 1 << (c - 1)
-    return all(s & bbit for s in f.sets if s & cbit)
+    return not cols[c] & ~cols[b]
 
 
 def lemma1_witness(f: Family, i: int) -> int | None:
@@ -230,7 +226,7 @@ def minimal_counterexample_audit(f: Family) -> AuditReport:
             details=f"conjecture holds, witness element {verdict.witness}",
         )
     n = len(f.sets)
-    m = universe_of(f).bit_count()
+    m = len(membership_columns(f))  # |U(f)|
     _, top = max_frequency(f)
     parity_ok = n % 2 == 1
     maxfreq_equals_n = parity_ok and top == (n - 1) // 2

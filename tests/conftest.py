@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ucw import core
 from ucw.core import Family, close_under_union, separating_quotient
 
 
@@ -24,3 +25,20 @@ def random_separating_union_closed(rng: random.Random, m_max: int = 8) -> Family
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0x5EED)
+
+
+@pytest.fixture
+def union_augment_calls(monkeypatch) -> list[int]:
+    """The masks passed to ``core._union_augment`` from here on.
+
+    A family's closure scan makes one call per basis set, so the list counts
+    scans.
+    """
+    calls = []
+
+    def counted(closed, x, _orig=core._union_augment):
+        calls.append(x)
+        return _orig(closed, x)
+
+    monkeypatch.setattr(core, "_union_augment", counted)
+    return calls

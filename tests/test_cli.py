@@ -131,6 +131,13 @@ def test_analyze_builds_the_staircase_once(capsys, monkeypatch):
     assert calls == {"frequency_order_relabel": 1, "s_collection": 1}
 
 
+def test_analyze_scans_closure_twice(capsys, union_augment_calls):
+    # one scan of the file's family, one of its frequency-ordered relabeling
+    code, out, _ = run_cli(capsys, "analyze", str(GOLDEN / "b23.ucs"))
+    assert code == 0
+    assert len(union_augment_calls) == 2 * int(as_pairs(out)["basis_count"]) == 14
+
+
 def test_analyze_emits_stable_audit_keys(capsys):
     code, out, _ = run_cli(capsys, "analyze", str(GOLDEN / "b23.ucs"))
     assert code == 0

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -328,6 +329,66 @@ def test_check_conjecture():
 def test_check_conjecture_paper_anchor(b23_listed):
     verdict = check_conjecture(b23_listed)
     assert verdict.holds  # 2 * 13 >= 23
+
+
+def test_membership_columns_returns_a_fresh_copy():
+    fam = Family.from_lists(3, [[1], [1, 2], [3]])
+    cols = membership_columns(fam)
+    expected = dict(cols)
+    cols[1] = 0
+    cols[2] |= 0b1000
+    del cols[3]
+    # canonical order is {1}, {3}, {1,2}
+    assert membership_columns(fam) == expected == {1: 0b101, 2: 0b100, 3: 0b010}
+    assert frequencies(fam) == (2, 1, 1)
+    assert is_separating(fam)
+
+
+def _compute_facts(fam: Family) -> None:
+    is_union_closed(fam)
+    basis_sets(fam)
+    membership_columns(fam)
+    frequencies(fam)
+
+
+def test_cached_facts_keep_equality_and_hash(b23_listed):
+    fam = Family.from_lists(5, B23_LISTED)
+    _compute_facts(fam)
+    fresh = Family(fam.m, fam.sets)
+    assert fam == fresh and fresh == fam
+    assert hash(fam) == hash(fresh)
+    assert {fam: 1}[fresh] == 1
+    assert fam == b23_listed and hash(fam) == hash(b23_listed)
+
+
+def test_cached_facts_survive_pickle():
+    fam = Family.from_lists(5, B23_LISTED)
+    _compute_facts(fam)
+    back = pickle.loads(pickle.dumps(fam))
+    fresh = Family(fam.m, fam.sets)
+    assert back == fresh and hash(back) == hash(fresh)
+    assert basis_sets(back) == basis_sets(fresh)
+    assert membership_columns(back) == membership_columns(fresh)
+    assert frequencies(back) == frequencies(fresh)
+
+
+def test_closure_facts_share_one_scan(b23_listed, union_augment_calls):
+    fam = Family(b23_listed.m, b23_listed.sets)
+    assert is_union_closed(fam)
+    basis = basis_sets(fam)
+    assert check_conjecture(fam).holds
+    assert is_union_closed(fam) and basis_sets(fam) == basis
+    assert union_augment_calls == list(basis)
+
+
+def test_failed_scan_is_kept_too(union_augment_calls):
+    fam = Family.from_lists(3, [[1], [2], [3]])
+    assert not is_union_closed(fam)
+    for check in (basis_sets, check_conjecture):
+        with pytest.raises(DomainError):
+            check(fam)
+    assert not is_union_closed(fam)
+    assert union_augment_calls == [0b001, 0b010]  # {2} makes {1,2}, a non-member
 
 
 @settings(max_examples=60, deadline=None)

@@ -109,6 +109,37 @@ def test_s_collection_row_count_is_universe_size():
     assert all(row in members for row in table.rows)
 
 
+def _per_member_rows(f: Family) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # reference: row A_i as the union of every member avoiding i, one scan
+    # of the members per row, and row counts read off the rows
+    rows = [universe_of(f)]
+    for i in range(1, f.m):
+        bit = 1 << (i - 1)
+        u = 0
+        seen = False
+        for s in f.sets:
+            if not s & bit:
+                u |= s
+                seen = True
+        assert seen
+        rows.append(u)
+    s_freq = tuple(
+        sum(1 for row in rows if row >> (e - 1) & 1) for e in range(1, f.m + 1)
+    )
+    return tuple(rows), s_freq
+
+
+def test_s_collection_matches_per_member_rows(rng):
+    # ∅ changes no column's distinctness and no union, so each family is
+    # checked both with and without it
+    for _ in range(150):
+        src = random_separating_union_closed(rng, m_max=12)
+        for sets in (set(src.sets) | {0}, set(src.sets) - {0}):
+            fam, _ = frequency_order_relabel(Family.from_sets(src.m, sets))
+            table = s_collection(fam)
+            assert (table.rows, table.s_frequency) == _per_member_rows(fam)
+
+
 def test_s_collection_requires_frequency_order():
     fam = Family.from_lists(2, [[1], [1, 2]])  # freq(1)=2 > freq(2)=1
     with pytest.raises(DomainError):
