@@ -13,9 +13,10 @@ Subcommands::
     ucw compare gap -N N
 
 Reports are stable ``key: value`` lines. Family documents go to ``-o FILE``
-when given, else to stdout (report lines then move to stderr so the document
-stays pipeable). Exit code 2 covers usage and parse problems, 1 is reserved
-for property violations.
+when given, else to stdout. ``gen`` then moves its report lines to stderr so
+the document stays pipeable; ``search phi`` keeps its report on stdout and
+prints the witness document after it. Exit code 2 covers usage and parse
+problems, 1 is reserved for property violations.
 """
 
 import argparse
@@ -38,13 +39,11 @@ def _emit(stream, pairs) -> None:
 
 def _write_family(fam, path, report_pairs) -> None:
     """Family to path-or-stdout; the report keeps to the other stream."""
-    text = familyfile.serialize_family(fam)
     if path:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+        familyfile.save_family(path, fam)
         _emit(sys.stdout, report_pairs)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(familyfile.serialize_family(fam))
         _emit(sys.stderr, report_pairs)
 
 
@@ -266,10 +265,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: argparse keeps memory for every parser it builds
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -277,10 +279,7 @@ def main(argv=None) -> int:
     except familyfile.FamilyParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (core.DomainError, core.CapacityError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SearchBudgetError as exc:
+    except (ValueError, SearchBudgetError) as exc:  # DomainError, CapacityError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -112,8 +112,7 @@ def _beta_schedule(n: int) -> BetaDecomposition:
     for size in range(1, k + 1):
         count = math.comb(k - 1, size - 1)
         if rem >= count:
-            if count:
-                full.append((size, count))
+            full.append((size, count))
             rem -= count
             if rem == 0:
                 r = size + 1

@@ -82,7 +82,6 @@ def parse_family(text: str) -> Family:
         raise FamilyParseError(M_OUT_OF_RANGE, f"m must be in 1..64, got {m}", 2)
 
     seen: set[int] = set()
-    ordered: list[int] = []
     for line_no, line in lines[2:]:
         if line == "-":
             mask = 0
@@ -108,10 +107,9 @@ def parse_family(text: str) -> Family:
         if mask in seen:
             raise FamilyParseError(DUPLICATE_SET, f"set {line!r} repeated", line_no)
         seen.add(mask)
-        ordered.append(mask)
-    if not ordered:
+    if not seen:
         raise FamilyParseError(EMPTY_BODY, "no set lines")
-    return Family.from_sets(m, ordered)
+    return Family.from_sets(m, seen)
 
 
 def serialize_family(f: Family) -> str:

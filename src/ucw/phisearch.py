@@ -95,7 +95,7 @@ class SearchResult:
 class SearchBudgetError(RuntimeError):
     """Node budget exhausted; carries the constructive incumbent."""
 
-    def __init__(self, n: int, incumbent: int, witness: Family | None, visited: int):
+    def __init__(self, n: int, incumbent: int, witness: Family, visited: int):
         super().__init__(
             f"search budget exceeded at n={n}; phi({n}) <= {incumbent} stands"
         )
@@ -255,7 +255,7 @@ def _branch_enumerate(args):
         nonlocal nodes, violations
         nodes += 1
         if nodes > node_budget:
-            raise SearchBudgetError(n, t + 1, None, nodes)
+            raise SearchBudgetError(n, t + 1, renaud_family(n), nodes)
         size = len(fam)
         # a count of size // 2 + 1 or more rules out both violations, and
         # is one test on the packed counts; unpack only when it fails or
@@ -331,17 +331,12 @@ def phi_search(config: SearchConfig) -> SearchResult:
     blocks = [(1 << j) - 1 for j in range(1, m_cap + 1)]
     tasks = [(t, m_cap, b, n, config.node_budget) for b in blocks]
     workers = _pool_size(config.workers, len(tasks), os.cpu_count())
-    results = []
-    try:
-        if workers <= 1:
-            for task in tasks:
-                results.append(_branch_enumerate(task))
-        else:
-            ctx = get_context("fork")
-            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-                results = list(pool.map(_branch_enumerate, tasks))
-    except SearchBudgetError as exc:
-        raise SearchBudgetError(n, incumbent, fallback, exc.visited) from None
+    if workers <= 1:
+        results = [_branch_enumerate(task) for task in tasks]
+    else:
+        ctx = get_context("fork")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            results = list(pool.map(_branch_enumerate, tasks))
 
     visited = sum(r[0] for r in results)
     violations = sum(r[1] for r in results)
@@ -364,9 +359,9 @@ class PhiTableRow:
 
 
 def verify_phi_table(limit: int) -> list[PhiTableRow]:
-    """phi(n) for n <= limit (<= 9), checked against both upper bounds."""
-    if not 1 <= limit <= 9:
-        raise DomainError("verify_phi_table supports limit <= 9")
+    """phi(n) for every n <= limit, checked against both upper bounds."""
+    if not 1 <= limit <= PHI_SEARCH_MAX_N:
+        raise DomainError(f"verify_phi_table supports 1 <= limit <= {PHI_SEARCH_MAX_N}")
     a = conway(max(limit, 2))
     rows = []
     for n in range(1, limit + 1):

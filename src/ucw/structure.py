@@ -54,7 +54,6 @@ class AuditReport:
     parity_ok: bool | None
     maxfreq_equals_n: bool | None
     size_bound_ok: bool | None
-    details: str
 
 
 def _require_separating_union_closed(f: Family, who: str) -> None:
@@ -223,7 +222,6 @@ def minimal_counterexample_audit(f: Family) -> AuditReport:
             parity_ok=None,
             maxfreq_equals_n=None,
             size_bound_ok=None,
-            details=f"conjecture holds, witness element {verdict.witness}",
         )
     n = len(f.sets)
     m = len(membership_columns(f))  # |U(f)|
@@ -236,5 +234,4 @@ def minimal_counterexample_audit(f: Family) -> AuditReport:
         parity_ok=parity_ok,
         maxfreq_equals_n=maxfreq_equals_n,
         size_bound_ok=size_bound_ok,
-        details=f"counterexample candidate: n={n}, m={m}, max frequency {top}",
     )

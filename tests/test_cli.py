@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -29,6 +30,21 @@ def as_pairs(text: str) -> dict[str, str]:
             key, value = line.split(": ", 1)
             out[key] = value
     return out
+
+
+def test_main_builds_no_parser(capsys, monkeypatch):
+    # the parser is built once, at import; each call only parses with it
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run_cli(capsys, "gen", "conway", "-n", "3")[0] == 0
+    assert run_cli(capsys, "search", "phi", "-n", "4")[0] == 0
+    assert built == []
 
 
 def test_gen_conway(capsys):
@@ -224,6 +240,9 @@ SEARCH_CASES = (
     [(f"phi-{n}", ["-n", str(n)]) for n in range(1, 11)]
     + [(f"naive-{n}", ["-n", str(n), "--naive"]) for n in range(1, 6)]
     + [(f"naive-{n}-m3", ["-n", str(n), "--naive", "--m-max", "3"]) for n in range(1, 6)]
+    # the top of each range, about 3 s together; listed last so that the
+    # cases above keep their test ids
+    + [("phi-11", ["-n", "11"]), ("phi-12", ["-n", "12"]), ("naive-6", ["-n", "6", "--naive"])]
 )
 
 

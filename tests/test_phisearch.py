@@ -418,6 +418,23 @@ def test_traversal_records_every_size_up_to_threshold_max(m):
             assert bool(_search_families(n, t, m)) == (n <= most), (m, t, n)
 
 
+@pytest.mark.parametrize("m, count", [(1, 1), (2, 6), (3, 60), (4, 2479)])
+def test_uncapped_traversal_counts_the_moore_families(m, count):
+    # An oracle from outside the code: with the cap off (t = 2^m) and n = 0
+    # nothing is pruned or recorded, so the roots over every non-zero first
+    # mask reach each ∅-free union-closed family on [m] once. Complements
+    # map those one-to-one onto the Moore families on [m] other than {[m]}
+    # (∅ is added back, and the empty family maps to {[m]}), so the total is
+    # A102896(m) - 1 = 2 - 1, 7 - 1, 61 - 1, 2480 - 1 (OEIS A102896;
+    # Colomb, Irlande and Raynaud, "Counting of Moore families for n=7",
+    # ICFCA 2010).
+    t = 1 << m
+    total = sum(
+        _branch_enumerate((t, m, first, 0, 10 * count))[0] for first in range(1, t)
+    )
+    assert total == count
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     m=st.integers(min_value=1, max_value=6),
@@ -459,16 +476,20 @@ def test_phi_search_budget_error_carries_incumbent():
 def test_phi_search_budget_error_propagates_from_workers():
     with pytest.raises(SearchBudgetError) as err:
         phi_search(SearchConfig(9, workers=4, node_budget=50))
-    assert err.value.incumbent == A[8]
+    exc = err.value
+    assert exc.incumbent == A[8]
+    assert len(exc.witness) == 9
+    assert max_frequency(exc.witness)[1] == exc.incumbent
 
 
 def test_verify_phi_table():
-    rows = verify_phi_table(9)
-    assert [r.phi for r in rows] == A[:9]
+    # the whole range phi_search supports, and no further
+    rows = verify_phi_table(12)
+    assert [r.phi for r in rows] == A
     assert all(r.matches_conway for r in rows)
     assert all(r.phi <= r.beta <= r.conway for r in rows)
     with pytest.raises(DomainError):
-        verify_phi_table(10)
+        verify_phi_table(13)
 
 
 def test_phi_search_config_naive_route():
