@@ -103,6 +103,14 @@ def _cmd_gen_block_upset(args) -> int:
     return 0
 
 
+def _fraction(text: str) -> Fraction:
+    """argparse type for NUM/DEN; a zero denominator is a usage error too."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def _cmd_gen_pad(args) -> int:
     fam = familyfile.load_family(args.input)
     padded, params = cons.pad_family(fam, args.c)
@@ -233,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen_block_upset)
 
     p = gen_sub.add_parser("pad", help="pad a family down to ratio <= c")
-    p.add_argument("-c", type=Fraction, required=True, metavar="NUM/DEN")
+    p.add_argument("-c", type=_fraction, required=True, metavar="NUM/DEN")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_gen_pad)

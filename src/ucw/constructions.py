@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    MAX_UNIVERSE,
     CapacityError,
     DomainError,
     Family,
@@ -212,15 +213,13 @@ def renaud_family(n: int) -> Family:
     if k > RENAUD_MATERIALIZE_MAX_K:
         raise CapacityError(f"materialization capped at k <= {RENAUD_MATERIALIZE_MAX_K}")
     kbit = 1 << (k - 1)
-    deleted: set[int] = set()
-    for size, _ in sched.full_levels:
-        for sub in range(kbit):
-            if sub.bit_count() == size - 1:
-                deleted.add(sub | kbit)
-    if sched.v:
-        for sub in balanced_deletion(k - 1, sched.r - 1, sched.v):
-            deleted.add(sub | kbit)
-    kept = [s for s in range(1 << k) if s not in deleted]
+    full = len(sched.full_levels)  # the wholly deleted levels are sizes 1..full
+    partial = balanced_deletion(k - 1, sched.r - 1, sched.v) if sched.v else []
+    deleted = {sub | kbit for sub in partial}
+    kept = [
+        s for s in range(1 << k)
+        if not (s & kbit and s.bit_count() <= full) and s not in deleted
+    ]
     return Family.from_sets(k, kept)
 
 
@@ -285,8 +284,8 @@ class BlockUpsetParams:
             raise DomainError("block size and block count must both be >= 2")
         if self.s == 2 and self.k == 2:
             raise DomainError("block size and count must not both equal 2")
-        if self.s * self.k + 1 > 64:
-            raise CapacityError("universe sk+1 exceeds 64")
+        if self.s * self.k + 1 > MAX_UNIVERSE:
+            raise CapacityError(f"universe sk+1 exceeds {MAX_UNIVERSE}")
 
     @property
     def m(self) -> int:
@@ -480,8 +479,8 @@ def pad_family(f: Family, c) -> tuple[Family, PadParams]:
     assert p >= 1
     if p >= n:
         raise DomainError(f"pad count p={p} reached n={n}; ratio target too tight")
-    if f.m + p > 64:
-        raise CapacityError(f"padding needs {f.m + p} elements, over the 64 cap")
+    if f.m + p > MAX_UNIVERSE:
+        raise CapacityError(f"padding needs {f.m + p} elements, over the {MAX_UNIVERSE} cap")
     new_elements = tuple(range(f.m + 1, f.m + p + 1))
     m2 = f.m + p
     full = u | ((1 << p) - 1) << f.m

@@ -20,7 +20,7 @@ rejected. Parsing always yields a canonically ordered family, so
 
 import re
 
-from .core import Family, elements_of
+from .core import MAX_UNIVERSE, Family, elements_of
 
 HEADER = "ucs 1"
 
@@ -78,8 +78,8 @@ def parse_family(text: str) -> Family:
     if m_value is None or len(m_value) != 1:
         raise FamilyParseError(BAD_HEADER, f"bad universe size {m_text!r}", 2)
     m = m_value[0]
-    if not 1 <= m <= 64:
-        raise FamilyParseError(M_OUT_OF_RANGE, f"m must be in 1..64, got {m}", 2)
+    if not 1 <= m <= MAX_UNIVERSE:
+        raise FamilyParseError(M_OUT_OF_RANGE, f"m must be in 1..{MAX_UNIVERSE}, got {m}", 2)
 
     seen: set[int] = set()
     for line_no, line in lines[2:]:

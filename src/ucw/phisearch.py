@@ -7,38 +7,39 @@ least one non-empty member, of the largest element frequency. Two routes:
   skipping branches whose forced pair-unions can no longer be included. It is
   the small-scale oracle.
 
-* :func:`phi_search` proves the value by exhausting the space *below* the
-  constructive upper bound min(beta(n), a(n)); let t be that bound minus
-  one. Four reductions keep that space small: merging equal membership
-  columns preserves the member count and every frequency, so only
-  separating representatives matter; a separating union-closed family has
-  an element of frequency >= |U|, so any family with every frequency at
-  most t lives on at most t columns and can be relabeled into [t]; the
-  smallest non-empty member can be normalized to a prefix block; and
-  adding the empty set changes no frequency and no non-zero column, so the
-  families holding it are {∅} plus the ∅-free families of n-1 sets.
-  The search is therefore one traversal per prefix block of the ∅-free
-  union-closed families on [t] with every frequency at most t. Families
-  are built by closure-augmentation: member sets are chosen in ascending
-  canonical order, and each insertion x into the union-closed F closes in
-  one pass to F ∪ {x} ∪ {x|f : f ∈ F}. The one prune is the frequency cap:
-  a branch dies when some frequency passes t, as it does in every
-  superset. Closure is monotone, so a candidate the cap rejects at a node
-  is rejected at every descendant: each node tests its candidates once
-  and hands each child only the later candidates that passed, their
-  augmentations updated by the sets the child added, instead of
-  rescanning every later mask. The tree thus depends on t and the column
-  cap, not on n; n enters only at the nodes, where a node of n sets is
-  recorded as found and a node of n-1 sets is recorded with ∅ added.
-  (Pruning against n as well, by a closure that overruns n sets or too
-  few free frequency slots for the members still owed, cuts at most three
-  nodes of such a tree for n <= 12, and would need a second traversal for
-  the ∅ fold. No test of the distinct-column count is needed either: every
-  node is union-closed, so more than t distinct non-zero columns already
-  force a frequency above t.) Within a root task each family is reached
-  exactly once, and the tasks reach disjoint families (each task fixes the
-  smallest non-empty member), so node counts are schedule-independent and
-  worker processes can split the tasks without sharing state.
+* :func:`phi_search` proves the value by exhausting the space *below*
+  beta(n), the maximal frequency of B(n) (at most a(n), as the tests check
+  through n = 1024); let t be beta(n) - 1. Four reductions keep that space
+  small: merging equal membership columns preserves the member count and
+  every frequency, so only separating representatives matter; a separating
+  union-closed family has an element of frequency >= |U|, so any family
+  with every frequency at most t lives on at most t columns and can be
+  relabeled into [t]; the smallest non-empty member can be normalized to a
+  prefix block; and adding the empty set changes no frequency and no
+  non-zero column, so the families holding it are {∅} plus the ∅-free
+  families of n-1 sets. The search is therefore one traversal per prefix
+  block of the ∅-free union-closed families on [t] with every frequency at
+  most t. Families are built by closure-augmentation: member sets are
+  chosen in ascending canonical order, and each insertion x into the
+  union-closed F closes in one pass to F ∪ {x} ∪ {x|f : f ∈ F}. The one
+  prune is the frequency cap: a branch dies when some frequency passes t,
+  as it does in every superset. Closure is monotone, so a candidate the
+  cap rejects at a node is rejected at every descendant: each node takes
+  the candidates its parent kept after its own, updates their
+  augmentations by the sets it added and keeps those within the cap. The
+  root's parent is the empty family, where each augmentation is the mask
+  alone. The tree thus depends on t and the column cap, not on n; n enters
+  only at the nodes, where a node of n sets is recorded as found and a
+  node of n-1 sets is recorded with ∅ added. (Pruning against n as well,
+  by a closure that overruns n sets or too few free frequency slots for
+  the members still owed, cuts at most three nodes of such a tree for n <=
+  12, and would need a second traversal for the ∅ fold. No test of the
+  distinct-column count is needed either: every node is union-closed, so
+  more than t distinct non-zero columns already force a frequency above
+  t.) Within a root task each family is reached exactly once, and the
+  tasks reach disjoint families (each task fixes the smallest non-empty
+  member), so node counts are schedule-independent and worker processes
+  can split the tasks without sharing state.
 
 The witness reported with phi(n) is the balanced-deletion family when the
 bound is tight (it always is on the verified range); otherwise, as in
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 
 from .constructions import beta, conway, renaud_family
-from .core import DomainError, Family, _union_augment, canonical_key
+from .core import DomainError, Family, canonical_key
 
 PHI_SEARCH_MAX_N = 12
 PHI_NAIVE_MAX_N = 6
@@ -95,7 +96,7 @@ class SearchResult:
 class SearchBudgetError(RuntimeError):
     """Node budget exhausted; carries the constructive incumbent."""
 
-    def __init__(self, n: int, incumbent: int, witness: Family, visited: int):
+    def __init__(self, n: int, incumbent: int, witness: Family | None, visited: int):
         super().__init__(
             f"search budget exceeded at n={n}; phi({n}) <= {incumbent} stands"
         )
@@ -226,10 +227,11 @@ def _branch_enumerate(args):
     of n-1 sets. The half-membership check counts each node twice, with
     and without ∅, since ∅ adds a member and no frequency.
 
-    Each node holds its candidates: the later masks whose augmentation
-    keeps every frequency <= t, each with that augmentation and the
-    element counts it gives. A child inherits only the candidates after
-    its own, and updates each augmentation by the sets the child added.
+    Each node takes ``later``, the candidates its parent kept after its
+    own, drops those it added, updates the rest by the sets it added and
+    keeps those whose counts stay <= t; the root's parent is the empty
+    family, where each later mask z adds just {z}. A budget error carries
+    B(n) (``None`` for n < 2, where B(n) is undefined).
     """
     t, m_cap, first_mask, n, node_budget = args
     masks = sorted(range(1 << m_cap), key=canonical_key)
@@ -251,11 +253,11 @@ def _branch_enumerate(args):
     nodes = 0
     violations = 0
 
-    def dfs(fam: frozenset, packed: int, candidates: list):
+    def dfs(fam: frozenset, packed: int, added: set, later):
         nonlocal nodes, violations
         nodes += 1
         if nodes > node_budget:
-            raise SearchBudgetError(n, t + 1, renaud_family(n), nodes)
+            raise SearchBudgetError(n, t + 1, renaud_family(n) if n >= 2 else None, nodes)
         size = len(fam)
         # a count of size // 2 + 1 or more rules out both violations, and
         # is one test on the packed counts; unpack only when it fails or
@@ -268,37 +270,28 @@ def _branch_enumerate(args):
                 found.append((top_count, tuple(sorted(fam, key=canonical_key))))
             elif size == n - 1:
                 found.append((top_count, (0,) + tuple(sorted(fam, key=canonical_key))))
-        for i, (_, added, child_packed) in enumerate(candidates):
-            child = fam | added
-            inherited = []
-            for z, new, _ in candidates[i + 1 :]:
-                if z in added:
-                    continue
-                # closure of child + z: z's sets beyond fam, less those the
-                # child added, and z's unions with the added sets
-                new = new - added
-                for g in added:
-                    u = z | g
-                    if u not in child:
-                        new.add(u)
-                z_packed = child_packed
-                for u in new:
-                    z_packed += spread[u]
-                if not z_packed & over:
-                    inherited.append((z, new, z_packed))
-            dfs(child, child_packed, inherited)
+        candidates = []
+        for z, new, _ in later:
+            if z in added:
+                continue
+            # closure of fam + z: z's sets beyond the parent, less those
+            # this node added, and z's unions with the added sets
+            new = new - added
+            for g in added:
+                u = z | g
+                if u not in fam:
+                    new.add(u)
+            z_packed = packed
+            for u in new:
+                z_packed += spread[u]
+            if not z_packed & over:
+                candidates.append((z, new, z_packed))
+        for i, (_, new, z_packed) in enumerate(candidates):
+            dfs(fam | new, z_packed, new, candidates[i + 1 :])
 
-    fam = frozenset((first_mask,))
-    packed = bias * ones + spread[first_mask]
-    candidates = []
-    for x in masks[masks.index(first_mask) + 1 :]:
-        new = _union_augment(fam, x)
-        x_packed = packed
-        for u in new:
-            x_packed += spread[u]
-        if not x_packed & over:
-            candidates.append((x, new, x_packed))
-    dfs(fam, packed, candidates)
+    root_key = canonical_key(first_mask)
+    later = ((z, {z}, 0) for z in masks if canonical_key(z) > root_key)
+    dfs(frozenset((first_mask,)), bias * ones + spread[first_mask], {first_mask}, later)
     return nodes, violations, found
 
 
@@ -319,12 +312,9 @@ def phi_search(config: SearchConfig) -> SearchResult:
     start = time.perf_counter()
     if n == 1:
         return SearchResult(1, Family(1, (1,)), 1, time.perf_counter() - start)
-    incumbent = min(beta(n)[0], conway(n)[-1])
+    incumbent, _ = beta(n)
     fallback = renaud_family(n)
     t = incumbent - 1
-    if t < 1:
-        # nothing can beat frequency 0; the bound is trivially exact
-        return SearchResult(incumbent, fallback, 0, time.perf_counter() - start)
     m_cap = t if config.m_max is None else min(config.m_max, t)
 
     # Up to relabeling, the smallest non-empty member is a prefix block.

@@ -118,6 +118,19 @@ def test_gen_pad(capsys, tmp_path):
     assert is_union_closed(fam) and is_separating(fam)
 
 
+@pytest.mark.parametrize("ratio", ["5/0", "0/0"])
+def test_gen_pad_zero_denominator_is_a_usage_error(capsys, tmp_path, ratio):
+    # Fraction raises ZeroDivisionError here, which argparse does not turn
+    # into a usage error on its own
+    dst = tmp_path / "padded.ucs"
+    code, out, err = run_cli(
+        capsys, "gen", "pad", "-c", ratio, "-i", str(GOLDEN / "b23.ucs"), "-o", str(dst)
+    )
+    assert code == 2 and out == ""
+    assert f"argument -c: invalid Fraction value: '{ratio}'" in err
+    assert not dst.exists()
+
+
 def test_analyze_b23(capsys):
     code, out, _ = run_cli(capsys, "analyze", str(GOLDEN / "b23.ucs"))
     assert code == 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucw.constructions import beta, conway
+from ucw.constructions import beta, conway, renaud_family
 from ucw.core import (
     DomainError,
     Family,
@@ -418,16 +418,18 @@ def test_traversal_records_every_size_up_to_threshold_max(m):
             assert bool(_search_families(n, t, m)) == (n <= most), (m, t, n)
 
 
-@pytest.mark.parametrize("m, count", [(1, 1), (2, 6), (3, 60), (4, 2479)])
+@pytest.mark.parametrize(
+    "m, count", [(1, 1), (2, 6), (3, 60), (4, 2479), (5, 1385551)]
+)
 def test_uncapped_traversal_counts_the_moore_families(m, count):
     # An oracle from outside the code: with the cap off (t = 2^m) and n = 0
     # nothing is pruned or recorded, so the roots over every non-zero first
     # mask reach each ∅-free union-closed family on [m] once. Complements
     # map those one-to-one onto the Moore families on [m] other than {[m]}
     # (∅ is added back, and the empty family maps to {[m]}), so the total is
-    # A102896(m) - 1 = 2 - 1, 7 - 1, 61 - 1, 2480 - 1 (OEIS A102896;
-    # Colomb, Irlande and Raynaud, "Counting of Moore families for n=7",
-    # ICFCA 2010).
+    # A102896(m) - 1 = 2 - 1, 7 - 1, 61 - 1, 2480 - 1, 1385552 - 1 (OEIS
+    # A102896; Colomb, Irlande and Raynaud, "Counting of Moore families for
+    # n=7", ICFCA 2010). At m = 5 a root holds up to 30 later masks.
     t = 1 << m
     total = sum(
         _branch_enumerate((t, m, first, 0, 10 * count))[0] for first in range(1, t)
@@ -473,6 +475,16 @@ def test_phi_search_budget_error_carries_incumbent():
     assert max_frequency(exc.witness)[1] == exc.incumbent
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 9])
+def test_branch_budget_error_for_every_n(n):
+    # B(n) exists only from n = 2; below that the error carries no witness
+    with pytest.raises(SearchBudgetError) as err:
+        _branch_enumerate((4, 2, 1, n, 1))
+    exc = err.value
+    assert (exc.n, exc.incumbent, exc.visited) == (n, 5, 2)
+    assert exc.witness == (renaud_family(n) if n >= 2 else None)
+
+
 def test_phi_search_budget_error_propagates_from_workers():
     with pytest.raises(SearchBudgetError) as err:
         phi_search(SearchConfig(9, workers=4, node_budget=50))
@@ -501,8 +513,6 @@ def test_phi_search_config_naive_route():
 def test_phi_upper_bound_seed_at_23():
     # n=23 is beyond the search budget, but the constructive family the
     # search would seed its bound from pins phi(23) <= 13
-    from ucw.constructions import renaud_family
-
     assert max_frequency(renaud_family(23))[1] == 13
 
 
