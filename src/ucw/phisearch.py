@@ -36,10 +36,30 @@ least one non-empty member, of the largest element frequency. Two routes:
   12, and would need a second traversal for the ∅ fold. No test of the
   distinct-column count is needed either: every node is union-closed, so
   more than t distinct non-zero columns already force a frequency above
-  t.) Within a root task each family is reached exactly once, and the
-  tasks reach disjoint families (each task fixes the smallest non-empty
-  member), so node counts are schedule-independent and worker processes
-  can split the tasks without sharing state.
+  t.)
+
+  The traversal also rejects isomorphs by equal columns. Elements i < j
+  whose membership columns over a node F are equal can be swapped without
+  moving any member of F, so F grows no child from a candidate z that holds
+  j but not i; z still passes to the candidate lists of its siblings. Each
+  node keeps the partition of [m_cap] into classes of equal columns, less
+  the one-element classes, and a child splits its parent's classes by the
+  sets it added, so the test costs one mask per class. The rule is sound
+  and keeps the witness. Let G* be the relabeling of a family G with the
+  least member tuple in canonical order. Its least member is a prefix
+  block, and its path chooses at each node F the least member z of G*
+  outside F, so every member of G* below z lies in F. If i < j had equal
+  columns over F and z held j but not i, the swap σ = (i j) would fix every
+  member of F, and σ(z) < z would lie outside F and so outside G*. Then
+  σ(G*) would hold the members of G* below z and also σ(z), a smaller
+  member tuple than G*'s. So G* is never cut. Within a root task a family is
+  reached at most once; the traversal reaches each family up to
+  relabeling, the tuple-least relabeling always. The tasks reach disjoint
+  families (each task fixes the smallest non-empty member), so node counts
+  are schedule-independent and worker processes can split the tasks
+  without sharing state. ``visited`` and ``conjecture_violations`` count
+  the class representatives the traversal reaches, not every labelled
+  family.
 
 The witness reported with phi(n) is the balanced-deletion family when the
 bound is tight (it always is on the verified range); otherwise, as in
@@ -49,7 +69,8 @@ relabeling of the tied families, since each pool holds the least relabeling
 of each member: phi_naive's pool, every union-closed n-subset of P(m) with
 the least frequency and sizes, is closed under relabeling, and in
 phi_search the least relabeling starts, after any ∅, with a prefix block
-whose traversal reaches it on [m_cap] with the same frequencies.
+whose traversal reaches it on [m_cap] with the same frequencies, and the
+equal-column rule never cuts it.
 """
 
 import os
@@ -230,8 +251,15 @@ def _branch_enumerate(args):
     Each node takes ``later``, the candidates its parent kept after its
     own, drops those it added, updates the rest by the sets it added and
     keeps those whose counts stay <= t; the root's parent is the empty
-    family, where each later mask z adds just {z}. A budget error carries
-    B(n) (``None`` for n < 2, where B(n) is undefined).
+    family, where each later mask z adds just {z}. Each node also takes its
+    parent's classes of elements with equal columns (two or more elements
+    each; the root's parent has one class, [m_cap]) and splits them by the
+    sets it added. A kept candidate z grows a child unless, in some class c,
+    z holds a later element but not an earlier one: with r = c & ~z, r is
+    non-empty and z & c > r & -r. As the module docstring shows, this
+    reaches every family up to relabeling, its tuple-least relabeling
+    always, so the nodes and violations count class representatives. A
+    budget error carries B(n) (``None`` for n < 2, where B(n) is undefined).
     """
     t, m_cap, first_mask, n, node_budget = args
     masks = sorted(range(1 << m_cap), key=canonical_key)
@@ -253,11 +281,18 @@ def _branch_enumerate(args):
     nodes = 0
     violations = 0
 
-    def dfs(fam: frozenset, packed: int, added: set, later):
+    def dfs(fam: frozenset, packed: int, added: set, later, classes: list):
         nonlocal nodes, violations
         nodes += 1
         if nodes > node_budget:
             raise SearchBudgetError(n, t + 1, renaud_family(n) if n >= 2 else None, nodes)
+        # the parent's equal-column classes, split by the sets this node added
+        for u in added:
+            if not classes:
+                break
+            classes = [
+                part for c in classes for part in (c & u, c & ~u) if part & part - 1
+            ]
         size = len(fam)
         # a count of size // 2 + 1 or more rules out both violations, and
         # is one test on the packed counts; unpack only when it fails or
@@ -286,12 +321,21 @@ def _branch_enumerate(args):
                 z_packed += spread[u]
             if not z_packed & over:
                 candidates.append((z, new, z_packed))
-        for i, (_, new, z_packed) in enumerate(candidates):
-            dfs(fam | new, z_packed, new, candidates[i + 1 :])
+        for i, (z, new, z_packed) in enumerate(candidates):
+            # equal-column rule: no child from a z that holds a later element
+            # of a class but not an earlier one; z stays in the siblings' lists
+            for c in classes:
+                r = c & ~z
+                if r and z & c > r & -r:
+                    break
+            else:
+                dfs(fam | new, z_packed, new, candidates[i + 1 :], classes)
 
     root_key = canonical_key(first_mask)
     later = ((z, {z}, 0) for z in masks if canonical_key(z) > root_key)
-    dfs(frozenset((first_mask,)), bias * ones + spread[first_mask], {first_mask}, later)
+    packed = bias * ones + spread[first_mask]
+    # the empty family, the root's parent, has one class of equal columns
+    dfs(frozenset((first_mask,)), packed, {first_mask}, later, [(1 << m_cap) - 1])
     return nodes, violations, found
 
 

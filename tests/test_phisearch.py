@@ -1,4 +1,6 @@
-from itertools import combinations, permutations
+from functools import cache
+from itertools import combinations, permutations, product
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -141,9 +143,11 @@ def test_phi_naive_matches_the_per_node_reference(n, m):
     assert (result.phi, result.visited, result.witness) == _naive_reference(n, m)
 
 
-def _branch_reference(t, m_cap, first_mask, n):
+def _branch_reference(t, m_cap, first_mask, n, rule=True):
     # _branch_enumerate as first written: every node rescans every later
-    # mask and closes each from scratch against the whole family
+    # mask and closes each from scratch against the whole family. With
+    # ``rule``, a node rebuilds its membership columns and grows no child
+    # from a mask that holds j but not i for some i < j of equal columns.
     masks = sorted(range(1 << m_cap), key=canonical_key)
     bits = {s: [e for e in range(m_cap) if s >> e & 1] for s in masks}
     found = []
@@ -160,6 +164,12 @@ def _branch_reference(t, m_cap, first_mask, n):
             found.append((top_count, tuple(sorted(fam, key=canonical_key))))
         elif size == n - 1:
             found.append((top_count, (0,) + tuple(sorted(fam, key=canonical_key))))
+        columns = [{f for f in fam if f >> e & 1} for e in range(m_cap)]
+        swaps = [
+            (i, j)
+            for i, j in combinations(range(m_cap), 2)
+            if rule and columns[i] == columns[j]
+        ]
         for idx in range(last + 1, len(masks)):
             x = masks[idx]
             if x in fam:
@@ -169,8 +179,11 @@ def _branch_reference(t, m_cap, first_mask, n):
             for s in new:
                 for e in bits[s]:
                     nc[e] += 1
-            if max(nc) <= t:
-                dfs(fam | new, nc, idx)
+            if max(nc) > t:
+                continue
+            if any(x >> j & 1 and not x >> i & 1 for i, j in swaps):
+                continue
+            dfs(fam | new, nc, idx)
 
     counts0 = [1 if first_mask >> e & 1 else 0 for e in range(m_cap)]
     dfs(frozenset((first_mask,)), counts0, masks.index(first_mask))
@@ -181,7 +194,9 @@ def _branch_reference(t, m_cap, first_mask, n):
     "t, m_cap", [(t, m_cap) for t in range(1, 6) for m_cap in range(1, t + 1)]
 )
 def test_branch_enumerate_matches_the_rescanning_reference(t, m_cap):
-    # inherited candidate lists visit the same tree, task by task
+    # inherited candidate lists and classes refined by the added sets visit
+    # the same tree, task by task, as columns rebuilt at every node; and the
+    # rule loses no isomorphism class of the rule-free traversal
     for j in range(1, m_cap + 1):
         for n in range(2, 13):
             nodes, violations, found = _branch_enumerate(
@@ -190,6 +205,10 @@ def test_branch_enumerate_matches_the_rescanning_reference(t, m_cap):
             assert (nodes, violations, sorted(found)) == _branch_reference(
                 t, m_cap, (1 << j) - 1, n
             ), (j, n)
+            free = _branch_reference(t, m_cap, (1 << j) - 1, n, rule=False)[2]
+            assert {_canonical_form(sets, m_cap)[0] for _, sets in found} == {
+                _canonical_form(sets, m_cap)[0] for _, sets in free
+            }, (j, n)
 
 
 def test_phi_naive_scale_guard():
@@ -278,12 +297,22 @@ def test_phi_search_worker_determinism():
 def test_phi_search_visited_pinned():
     # node counts do not depend on the schedule; a change here must be
     # explained by a change to the enumeration. The traversal prunes by the
-    # frequency cap t alone, so visited depends on (t, m_cap) and not on n
+    # frequency cap t alone and cuts by the equal-column rule, which reads
+    # only the node's members, so visited depends on (t, m_cap) and not on n
     # (n = 6, 7, 8 share t = 3); one traversal per root records both the
     # ∅-free and the ∅-holding families, so there is no second run per root.
-    expected = {2: 0, 3: 1, 4: 1, 5: 4, 6: 19, 7: 19, 8: 19, 9: 194, 10: 3576}
+    expected = {2: 0, 3: 1, 4: 1, 5: 4, 6: 13, 7: 13, 8: 13, 9: 66, 10: 425}
     for n, visited in expected.items():
         assert phi_search(SearchConfig(n)).visited == visited, n
+
+
+def test_traversal_nodes_per_prefix_block_at_t7():
+    # the t = 7 pass that phi(13..16) will need, block by block, with m_cap = t
+    per_block = [
+        _branch_enumerate((7, 7, (1 << j) - 1, 0, 10**6))[0] for j in range(1, 8)
+    ]
+    assert per_block == [19264, 15179, 7687, 2364, 261, 8, 1]
+    assert sum(per_block) == 44764
 
 
 def test_pool_size_caps():
@@ -320,6 +349,40 @@ def _canonical_family(sets, m):
         if best is None or keyed < best[0]:
             best = (keyed, tuple(relab))
     return best[1]
+
+
+@cache
+def _relabelings(m):
+    # for each order of the elements, the image of every subset of [m] when
+    # the element order[k] is renamed k
+    return {
+        order: [
+            sum(1 << k for k, e in enumerate(order) if s >> e & 1) for s in range(1 << m)
+        ]
+        for order in permutations(range(m))
+    }
+
+
+def _canonical_form(sets, m):
+    # (canonical form, |Aut|) by invariant refinement: list the elements by
+    # (frequency, sorted sizes of the members holding them) and permute only
+    # within equal invariants, which every isomorphism respects. The form is
+    # the least sorted member tuple over those relabelings, and the number of
+    # relabelings that reach it is the number of automorphisms.
+    groups = {}
+    for e in range(m):
+        holding = sorted(s.bit_count() for s in sets if s >> e & 1)
+        groups.setdefault((len(holding), *holding), []).append(e)
+    tables = _relabelings(m)
+    best, hits = None, 0
+    for parts in product(*(permutations(groups[key]) for key in sorted(groups))):
+        table = tables[sum(parts, ())]
+        form = sorted(table[s] for s in sets)
+        if best is None or form < best:
+            best, hits = form, 1
+        elif form == best:
+            hits += 1
+    return tuple(best), hits
 
 
 def _search_families(n, t, m_cap):
@@ -418,23 +481,37 @@ def test_traversal_records_every_size_up_to_threshold_max(m):
             assert bool(_search_families(n, t, m)) == (n <= most), (m, t, n)
 
 
+# Moore families on [m] up to isomorphism, m = 0..5 (OEIS A108798)
+MOORE_CLASSES = [1, 2, 5, 19, 184, 14664]
+
+
 @pytest.mark.parametrize(
     "m, count", [(1, 1), (2, 6), (3, 60), (4, 2479), (5, 1385551)]
 )
 def test_uncapped_traversal_counts_the_moore_families(m, count):
-    # An oracle from outside the code: with the cap off (t = 2^m) and n = 0
-    # nothing is pruned or recorded, so the roots over every non-zero first
-    # mask reach each ∅-free union-closed family on [m] once. Complements
-    # map those one-to-one onto the Moore families on [m] other than {[m]}
-    # (∅ is added back, and the empty family maps to {[m]}), so the total is
-    # A102896(m) - 1 = 2 - 1, 7 - 1, 61 - 1, 2480 - 1, 1385552 - 1 (OEIS
-    # A102896; Colomb, Irlande and Raynaud, "Counting of Moore families for
-    # n=7", ICFCA 2010). At m = 5 a root holds up to 30 later masks.
+    # An oracle from outside the code: with the cap off (t = 2^m) nothing is
+    # pruned, so the prefix-block roots reach every ∅-free union-closed
+    # family on [m] up to relabeling. Complements map those one-to-one onto
+    # the Moore families on [m] other than {[m]} (∅ is added back, and the
+    # empty family maps to {[m]}). So the orbits m!/|Aut| of the distinct
+    # classes sum to A102896(m) - 1 = 2 - 1, 7 - 1, 61 - 1, 2480 - 1,
+    # 1385552 - 1 (OEIS A102896; Colomb, Irlande and Raynaud, "Counting of
+    # Moore families for n=7", ICFCA 2010), and the classes number one less
+    # than the Moore families up to isomorphism (MOORE_CLASSES). Only the
+    # prefix-block roots run, as in phi_search, so no other root can stand
+    # in for a class the rule loses. A run records the nodes of n sets and,
+    # with ∅ added, of n - 1 sets, so the even n from 2 to 2^m record every
+    # node once.
     t = 1 << m
-    total = sum(
-        _branch_enumerate((t, m, first, 0, 10 * count))[0] for first in range(1, t)
-    )
-    assert total == count
+    forms = {}
+    for n in range(2, t + 1, 2):
+        for j in range(1, m + 1):
+            for _, sets in _branch_enumerate((t, m, (1 << j) - 1, n, 10**6))[2]:
+                sets = sets[1:] if sets[0] == 0 else sets
+                form, automorphisms = _canonical_form(sets, m)
+                forms[form] = automorphisms
+    assert sum(factorial(m) // a for a in forms.values()) == count
+    assert len(forms) + 1 == MOORE_CLASSES[m]
 
 
 @settings(max_examples=200, deadline=None)
@@ -468,7 +545,7 @@ def test_phi_search_scale_guard():
 
 def test_phi_search_budget_error_carries_incumbent():
     with pytest.raises(SearchBudgetError) as err:
-        phi_search(SearchConfig(9, node_budget=50))
+        phi_search(SearchConfig(9, node_budget=10))
     exc = err.value
     assert exc.incumbent == A[8]
     assert len(exc.witness) == 9
@@ -487,7 +564,7 @@ def test_branch_budget_error_for_every_n(n):
 
 def test_phi_search_budget_error_propagates_from_workers():
     with pytest.raises(SearchBudgetError) as err:
-        phi_search(SearchConfig(9, workers=4, node_budget=50))
+        phi_search(SearchConfig(9, workers=4, node_budget=10))
     exc = err.value
     assert exc.incumbent == A[8]
     assert len(exc.witness) == 9
