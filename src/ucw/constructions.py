@@ -415,19 +415,41 @@ def _entropy_bound_holds(n: int, k: int, binom: int) -> bool:
     return binom * (n + 1) * k**k * (n - k) ** (n - k) >= n**n
 
 
+def _entropy_check(N: int, k: int, binom: int) -> EntropyCheck:
+    """The verdict at N for k = ceil(2N/5) and binom = C(2N, k)."""
+    return EntropyCheck(
+        N, k, binom, _entropy_bound_holds(2 * N, k, binom), binom > (1 << (N + 1))
+    )
+
+
 def entropy_binomial_check(N: int) -> EntropyCheck:
+    """The verdict at one N, with C(2N, k) computed directly by ``math.comb``."""
     if N < 1:
         raise DomainError("N must be >= 1")
     k = -(-2 * N // 5)  # ceil(2N/5)
-    binom = math.comb(2 * N, k)
-    entropy_ok = _entropy_bound_holds(2 * N, k, binom)
-    power_ok = binom > (1 << (N + 1))
-    return EntropyCheck(N, k, binom, entropy_ok, power_ok)
+    return _entropy_check(N, k, math.comb(2 * N, k))
 
 
 def entropy_binomial_sweep(limit: int) -> tuple[list[EntropyCheck], int | None]:
-    """Checks for N = 1..limit and the smallest N from which the chain holds on."""
-    checks = [entropy_binomial_check(N) for N in range(1, limit + 1)]
+    """Checks for N = 1..limit and the smallest N from which the chain holds on.
+
+    Equal to ``entropy_binomial_check(N)`` for each N, but C(2N, k) is carried
+    from N-1 to N instead of computed afresh. With n = 2N-2, ceil(2N/5) is k
+    or k+1, and one exact division steps the binomial:
+    C(n+2, k) = C(n, k) (n+1)(n+2) / ((n+1-k)(n+2-k)) and
+    C(n+2, k+1) = C(n, k) (n+1)(n+2) / ((k+1)(n+1-k)).
+    """
+    checks = []
+    k, binom = 0, 1  # C(0, 0) at N = 0
+    for N in range(1, limit + 1):
+        n = 2 * N - 2
+        grown = binom * (n + 1) * (n + 2)
+        if -(-2 * N // 5) == k:
+            binom = grown // ((n + 1 - k) * (n + 2 - k))
+        else:
+            binom = grown // ((k + 1) * (n + 1 - k))
+            k += 1
+        checks.append(_entropy_check(N, k, binom))
     threshold = None
     for chk in reversed(checks):
         if chk.chain_ok:

@@ -413,6 +413,27 @@ def test_entropy_binomial_sweep_threshold():
     assert all(c.power_ok for c in checks if c.N >= 6)
 
 
+def test_entropy_binomial_sweep_recurrence_matches_direct_computation():
+    # the sweep steps C(2N, k) from N-1; k = ceil(2N/5) stays put or grows by
+    # one, and N = 1..300 takes each of the two steps many times
+    checks, _ = entropy_binomial_sweep(300)
+    assert checks == [entropy_binomial_check(N) for N in range(1, 301)]
+
+    checks, threshold = entropy_binomial_sweep(2000)
+    assert [c.N for c in checks] == list(range(1, 2001))
+    for c in checks:
+        assert c.k == -(-2 * c.N // 5)
+        assert c.binomial == math.comb(2 * c.N, c.k), c.N
+    assert checks[-1] == entropy_binomial_check(2000)
+    assert checks[-1].k == 800 and checks[-1].binomial.bit_length() == 2882
+    assert threshold == 6
+
+
+def test_entropy_binomial_sweep_empty_range():
+    assert entropy_binomial_sweep(0) == ([], None)
+    assert entropy_binomial_sweep(-1) == ([], None)
+
+
 def _entropy_ok_exact(N):
     # reference: 2^(2N H(k/2N)) = (2N)^(2N) / (k^k (2N-k)^(2N-k)) in integers
     n, k = 2 * N, -(-2 * N // 5)
