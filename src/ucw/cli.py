@@ -12,6 +12,9 @@ Subcommands::
     ucw search phi -n N [--naive] [--m-max M] [--workers W] [-o FILE]
     ucw compare gap -N N
 
+``--m-max`` bounds the ``--naive`` oracle only; without ``--naive`` it is a
+usage error (exit 2), since the exact search always runs on [beta(n) - 1].
+
 Reports are stable ``key: value`` lines. Family documents go to ``-o FILE``
 when given, else to stdout. ``gen`` then moves its report lines to stderr so
 the document stays pipeable; ``search phi`` keeps its report on stdout and

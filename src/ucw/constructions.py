@@ -108,20 +108,14 @@ def _beta_schedule(n: int) -> BetaDecomposition:
     d = (1 << k) - n
     full = []
     rem = d
-    r = k + 1
-    v = 0
+    # d < 2^(k-1), the sum of the level counts, so the loop always breaks
     for size in range(1, k + 1):
         count = math.comb(k - 1, size - 1)
-        if rem >= count:
-            full.append((size, count))
-            rem -= count
-            if rem == 0:
-                r = size + 1
-                break
-        else:
-            r, v = size, rem
+        if rem < count:
             break
-    return BetaDecomposition(n, k, tuple(full), min(r, k), v)
+        full.append((size, count))
+        rem -= count
+    return BetaDecomposition(n, k, tuple(full), size, rem)
 
 
 def _split_targets(targets: list[int], t: int, h: int) -> tuple[list[int], list[int]]:
@@ -129,37 +123,26 @@ def _split_targets(targets: list[int], t: int, h: int) -> tuple[list[int], list[
 
     ``targets`` covers the K-1 low elements; the first part must sum to
     t*(h-1), both parts must again be near-balanced (values in {floor, ceil}
-    of their own averages), and they must add back to ``targets``. Ceilings
-    are pushed to the smallest elements, which keeps the whole construction
-    deterministic. Feasibility is a counting argument: writing the three
-    averages as a, b, c with remainders na, nb, nc, either c = a+b and
-    nc = na+nb, or c = a+b+1 and the elements at c+1 are forced to take
-    ceilings on both sides.
+    of their own averages a and b), and they must add back to ``targets``.
+    One rule decides every ceiling of the first part: a target above a+b+1
+    forces one (otherwise its second part would pass b+1), and the ceilings
+    left go to the targets of exactly a+b+1 in element order, which pushes
+    them to the smallest elements and keeps the construction deterministic.
     """
     width = len(targets)
     sum_a = t * (h - 1)
-    total = sum(targets)
     a, na = divmod(sum_a, width)
-    c, nc = divmod(total, width)
-    part_a = [0] * width
-    if c == a + (total - sum_a) // width:
-        seen = 0
-        for e in range(width):
-            if targets[e] == c:
-                part_a[e] = a
-            else:
-                part_a[e] = a + 1 if seen < na else a
-                seen += 1
-    else:
-        seen = 0
-        for e in range(width):
-            if targets[e] == c + 1:
-                part_a[e] = a + 1
-            else:
-                part_a[e] = a + 1 if seen < na - nc else a
-                seen += 1
-    part_b = [targets[e] - part_a[e] for e in range(width)]
-    b = (total - sum_a) // width
+    b = (sum(targets) - sum_a) // width
+    tie = a + b + 1
+    spare = na - sum(x > tie for x in targets)  # ceilings left for the ties
+    part_a = []
+    for x in targets:
+        if x == tie and spare:
+            spare -= 1
+            part_a.append(a + 1)
+        else:
+            part_a.append(a + 1 if x > tie else a)
+    part_b = [x - y for x, y in zip(targets, part_a)]
     assert all(x in (a, a + 1) for x in part_a) and sum(part_a) == sum_a
     assert all(x in (b, b + 1) for x in part_b)
     return part_a, part_b
@@ -174,22 +157,14 @@ def _balanced_select(universe: int, h: int, targets: list[int]) -> list[int]:
     """
     total = sum(targets)
     assert total % h == 0
-    v = total // h
-    if v == 0:
+    if total == 0:
         return []
-    if h == universe:
-        assert v == 1
-        return [(1 << universe) - 1]
     if h == 1:
         return [1 << e for e in range(universe) if targets[e] == 1]
-    t = targets[universe - 1]
-    part_a, part_b = _split_targets(targets[: universe - 1], t, h)
+    part_a, part_b = _split_targets(targets[:-1], targets[-1], h)
     top = 1 << (universe - 1)
-    with_top = (
-        [m | top for m in _balanced_select(universe - 1, h - 1, part_a)] if t else []
-    )
-    without_top = _balanced_select(universe - 1, h, part_b) if v - t else []
-    return with_top + without_top
+    with_top = [m | top for m in _balanced_select(universe - 1, h - 1, part_a)]
+    return with_top + _balanced_select(universe - 1, h, part_b)
 
 
 def balanced_deletion(universe: int, h: int, v: int) -> list[int]:

@@ -28,12 +28,12 @@ least one non-empty member, of the largest element frequency. Two routes:
   the candidates its parent kept after its own, updates their
   augmentations by the sets it added and keeps those within the cap. The
   root's parent is the empty family, where each augmentation is the mask
-  alone. The tree thus depends on t and the column cap, not on n; n enters
-  only at the nodes, where a node of n sets is recorded as found and a
-  node of n-1 sets is recorded with ∅ added. (Pruning against n as well,
-  by a closure that overruns n sets or too few free frequency slots for
-  the members still owed, cuts at most three nodes of such a tree for n <=
-  12, and would need a second traversal for the ∅ fold. No test of the
+  alone. The tree thus depends on t, not on n; n enters only at the
+  nodes, where a node of n sets is recorded as found and a node of n-1
+  sets is recorded with ∅ added. (Pruning against n as well, by a closure
+  that overruns n sets or too few free frequency slots for the members
+  still owed, cuts at most three nodes of such a tree for n <= 12, and
+  would need a second traversal for the ∅ fold. No test of the
   distinct-column count is needed either: every node is union-closed, so
   more than t distinct non-zero columns already force a frequency above
   t.)
@@ -42,8 +42,8 @@ least one non-empty member, of the largest element frequency. Two routes:
   whose membership columns over a node F are equal can be swapped without
   moving any member of F, so F grows no child from a candidate z that holds
   j but not i; z still passes to the candidate lists of its siblings. Each
-  node keeps the partition of [m_cap] into classes of equal columns, less
-  the one-element classes, and a child splits its parent's classes by the
+  node keeps the partition of [t] into classes of equal columns, less the
+  one-element classes, and a child splits its parent's classes by the
   sets it added, so the test costs one mask per class. The rule is sound
   and keeps the witness. Let G* be the relabeling of a family G with the
   least member tuple in canonical order. Its least member is a prefix
@@ -69,7 +69,7 @@ relabeling of the tied families, since each pool holds the least relabeling
 of each member: phi_naive's pool, every union-closed n-subset of P(m) with
 the least frequency and sizes, is closed under relabeling, and in
 phi_search the least relabeling starts, after any ∅, with a prefix block
-whose traversal reaches it on [m_cap] with the same frequencies, and the
+whose traversal reaches it on [t] with the same frequencies, and the
 equal-column rule never cuts it.
 """
 
@@ -91,11 +91,12 @@ DEFAULT_NODE_BUDGET = 20_000_000
 class SearchConfig:
     """Knobs for :func:`phi_search`.
 
-    ``m_max`` caps the universe searched (default t, the constructive bound
-    minus one, which every family that beats the bound can be relabeled
-    into). ``node_budget`` bounds the enumeration per root task, one task
-    per prefix block. ``workers`` is capped at the number of root tasks and
-    of CPUs.
+    ``m_max`` caps the universe of the ``naive`` oracle only (default n).
+    The exact search rejects it: it always runs on [t], t the constructive
+    bound minus one, which every family that beats the bound can be
+    relabeled into. ``node_budget`` bounds the enumeration per root task,
+    one task per prefix block. ``workers`` is capped at the number of root
+    tasks and of CPUs.
     """
 
     n: int
@@ -351,19 +352,19 @@ def phi_search(config: SearchConfig) -> SearchResult:
     n = config.n
     if not 1 <= n <= PHI_SEARCH_MAX_N:
         raise DomainError(f"phi_search supports 1 <= n <= {PHI_SEARCH_MAX_N}")
-    if config.m_max is not None and not 1 <= config.m_max <= 16:
-        raise DomainError("m_max must be in 1..16")
+    if config.m_max is not None:
+        raise DomainError("m_max bounds the naive search only; phi_search "
+                          "always searches on [beta(n) - 1]")
     start = time.perf_counter()
     if n == 1:
         return SearchResult(1, Family(1, (1,)), 1, time.perf_counter() - start)
     incumbent, _ = beta(n)
     fallback = renaud_family(n)
     t = incumbent - 1
-    m_cap = t if config.m_max is None else min(config.m_max, t)
 
     # Up to relabeling, the smallest non-empty member is a prefix block.
-    blocks = [(1 << j) - 1 for j in range(1, m_cap + 1)]
-    tasks = [(t, m_cap, b, n, config.node_budget) for b in blocks]
+    blocks = [(1 << j) - 1 for j in range(1, t + 1)]
+    tasks = [(t, t, b, n, config.node_budget) for b in blocks]
     workers = _pool_size(config.workers, len(tasks), os.cpu_count())
     if workers <= 1:
         results = [_branch_enumerate(task) for task in tasks]
@@ -379,7 +380,7 @@ def phi_search(config: SearchConfig) -> SearchResult:
     if not improving:
         return SearchResult(incumbent, fallback, visited, duration, violations)
     value = min(v for v, _ in improving)
-    witness = _least_family(m_cap, [sets for v, sets in improving if v == value])
+    witness = _least_family(t, [sets for v, sets in improving if v == value])
     return SearchResult(value, witness, visited, duration, violations)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ucw
-from ucw import structure
+from ucw import core, structure
 from ucw.cli import main
 from ucw.constructions import renaud_family
 from ucw.core import is_separating, is_union_closed, max_frequency
@@ -235,6 +235,27 @@ def test_cr_line_ends_fail_with_bad_header(capsys, tmp_path, end):
         assert err.startswith("parse error: bad-header:")
 
 
+def test_verify_violation_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(core, "check_conjecture", lambda f: core.ConjectureVerdict(False, None))
+    code, out, err = run_cli(capsys, "verify", str(GOLDEN / "b23.ucs"))
+    assert (code, out, err) == (1, "conjecture: violated\n", "")
+
+
+def test_analyze_and_verify_on_the_empty_set_alone(capsys, tmp_path):
+    path = tmp_path / "empty.ucs"
+    path.write_text("ucs 1\nm=1\n-\n")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, err) == (0, "")
+    assert out == (
+        "n: 1\nm: 1\nunion_closed: true\nseparating: true\nbasis_count: 1\n"
+        "max_freq: n/a\nmax_freq_element: n/a\n"
+        "conjecture: n/a\nconjecture_witness: n/a\n"
+    )
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: check_conjecture requires a non-empty member set\n"
+
+
 def test_verify_usage_error_exit_2(capsys):
     assert main(["verify"]) == 2
     capsys.readouterr()
@@ -274,6 +295,18 @@ def test_search_phi_naive_more_sets_than_the_power_set_exit_2(capsys, n, m):
     )
     assert (code, out) == (2, "")
     assert err == f"error: phi_naive needs n <= 2^m_max = {1 << m}\n"
+
+
+@pytest.mark.parametrize("n, m", [(6, 1), (12, 16)])
+def test_search_phi_m_max_without_naive_exit_2(capsys, n, m):
+    # the exact search always runs on [beta(n) - 1]; a cap would let its
+    # witness escape it, so --m-max is refused unless --naive is given
+    code, out, err = run_cli(capsys, "search", "phi", "-n", str(n), "--m-max", str(m))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: m_max bounds the naive search only; "
+        "phi_search always searches on [beta(n) - 1]\n"
+    )
 
 
 def test_search_phi_workers_deterministic(capsys, tmp_path):

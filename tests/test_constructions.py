@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from ucw.core import (
     power_set_family,
     universe_of,
 )
+from ucw.familyfile import serialize_family
 
 from conftest import random_separating_union_closed
 
@@ -208,6 +210,28 @@ def test_balanced_deletion_exact_degrees_exhaustive():
                 base, extra = divmod(v * h, K)
                 expected = [base + 1 if e < extra else base for e in range(K)]
                 assert deg == expected, (K, h, v)
+
+
+# sha256 of the serialized B(n): any other selection with the same degrees
+# fails these; the 2..1024 digest runs over the documents one after another
+B_DIGESTS = {
+    1000: "9909dfbca532e9855a8e08398efe3f27f413b5a62f25dbe8de80e16ad18b633a",
+    8192: "08f679f53a31cceede611f86579c21e43b93a0e500b5b97c280bd25b78d9fdf5",
+}
+B_2_TO_1024_DIGEST = "2825b1444bbc9d5c47788f8f43e25dce53dc5120e0162740a663f4f43be269fb"
+
+
+@pytest.mark.parametrize("n", sorted(B_DIGESTS))
+def test_renaud_family_pinned_byte_for_byte(n):
+    text = serialize_family(renaud_family(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == B_DIGESTS[n]
+
+
+def test_renaud_family_2_to_1024_pinned_byte_for_byte():
+    digest = hashlib.sha256()
+    for n in range(2, 1025):
+        digest.update(serialize_family(renaud_family(n)).encode())
+    assert digest.hexdigest() == B_2_TO_1024_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from ucw.core import (
     is_union_closed,
     max_frequency,
 )
-from ucw.familyfile import serialize_family
+from ucw.familyfile import parse_family, serialize_family
 from ucw.phisearch import (
     SearchBudgetError,
     SearchConfig,
@@ -594,7 +594,31 @@ def test_phi_upper_bound_seed_at_23():
 
 
 def test_phi_search_rejects_bad_m_max():
-    with pytest.raises(DomainError):
-        phi_search(SearchConfig(5, m_max=0))
-    with pytest.raises(DomainError):
-        phi_search(SearchConfig(5, m_max=17))
+    # m_max bounds the naive oracle only: the exact search always runs on
+    # [t], so even an in-range cap is refused rather than ignored
+    for n, m_max in [(5, 0), (5, 17), (5, 1), (5, 3), (1, 1), (6, 1), (12, 16)]:
+        with pytest.raises(DomainError, match="m_max bounds the naive search only"):
+            phi_search(SearchConfig(n, m_max=m_max))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_phi_search_reports_a_family_below_the_bound(monkeypatch, n):
+    # the bound is tight for every n <= 12, so the search never beats it; one
+    # more on the bound runs the traversal at t = beta(n), where it finds the
+    # balanced-deletion value as the least and reports its own witness
+    def loose(k):
+        value, sched = beta(k)
+        return value + 1, sched
+
+    monkeypatch.setattr("ucw.phisearch.beta", loose)
+    result = phi_search(SearchConfig(n))
+    assert result.phi == A[n - 1] == beta(n)[0]
+    assert result.witness.m == beta(n)[0]
+    if n <= 5:
+        oracle = phi_naive(n).witness
+    elif n == 6:  # phi_naive(6) takes seconds; naive-6.out pins its witness
+        text = (SEARCH_GOLDEN / "naive-6.out").read_text()
+        oracle = parse_family(text[text.index("ucs 1") :])
+    else:
+        return
+    assert result.witness.sets == oracle.sets  # only the universe differs

@@ -3,7 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucw.constructions import renaud_family
+from ucw import structure
 from ucw.core import (
+    ConjectureVerdict,
     DomainError,
     Family,
     close_under_union,
@@ -246,6 +248,14 @@ def test_corollary1_random_postconditions(rng):
     assert checked > 50
 
 
+def test_corollary1_walks_to_a_dominating_element():
+    # frequencies 1, 2, 3; sub's least max-frequency element 1 has one row
+    # of two, so the domination walk starts there and hands back element 2
+    fam = Family(3, (4, 6, 7))
+    assert s_collection(fam).s_frequency[0] < 2
+    assert corollary1_witness(fam, Family(3, (7,))) == 2
+
+
 def test_corollary1_rejects_bad_sub():
     p2 = power_set_family(2)
     with pytest.raises(DomainError):
@@ -294,3 +304,29 @@ def test_audit_random(rng):
             continue
         report = minimal_counterexample_audit(fam)
         assert report.conjecture_holds
+
+
+@pytest.mark.parametrize(
+    "fam, top, expected",
+    [
+        # B(23): odd, 23 >= 4*5-1, max frequency 13 against (23-1)/2 = 11
+        (renaud_family(23), None, (True, False, True)),
+        (renaud_family(23), 11, (True, True, True)),
+        # the size bound at its edge: B(19) meets 4*5-1, B(18) misses it
+        (renaud_family(19), None, (True, False, True)),
+        (renaud_family(18), None, (False, False, False)),
+        # P(2) is even, so a max frequency of (4-1)//2 = 1 does not count;
+        # and 4 < 4*2-1
+        (power_set_family(2), 1, (False, False, False)),
+    ],
+    ids=["b23", "b23-top11", "b19", "b18", "p2-top1"],
+)
+def test_audit_deduction_chain_on_a_violation(monkeypatch, fam, top, expected):
+    # no desk-scale family violates the conjecture, so the verdict (and the
+    # maximal frequency where a case needs it) is forced
+    monkeypatch.setattr(structure, "check_conjecture", lambda f: ConjectureVerdict(False, None))
+    if top is not None:
+        monkeypatch.setattr(structure, "max_frequency", lambda f: (1, top))
+    report = minimal_counterexample_audit(fam)
+    assert not report.conjecture_holds
+    assert (report.parity_ok, report.maxfreq_equals_n, report.size_bound_ok) == expected
