@@ -156,9 +156,9 @@ def _balanced_select(universe: int, h: int, targets: list[int]) -> list[int]:
     vector divided by :func:`_split_targets`. Linear in the output size.
     """
     total = sum(targets)
-    assert total % h == 0
     if total == 0:
         return []
+    assert total % h == 0
     if h == 1:
         return [1 << e for e in range(universe) if targets[e] == 1]
     part_a, part_b = _split_targets(targets[:-1], targets[-1], h)
@@ -171,11 +171,13 @@ def balanced_deletion(universe: int, h: int, v: int) -> list[int]:
     """v distinct h-subset masks of [universe] with degrees differing by <= 1.
 
     Degree ceilings land on the smallest elements, so the largest element is
-    always among the least-deleted ones.
+    always among the least-deleted ones. Level 0 holds only the empty set.
     """
     if not 0 <= v <= math.comb(universe, h):
         raise DomainError(f"cannot delete {v} sets from a level of size "
                           f"{math.comb(universe, h)}")
+    if h == 0 or v == 0:
+        return [0] * v
     base, extra = divmod(v * h, universe)
     targets = [base + 1 if e < extra else base for e in range(universe)]
     return _balanced_select(universe, h, targets)
@@ -189,7 +191,7 @@ def renaud_family(n: int) -> Family:
         raise CapacityError(f"materialization capped at k <= {RENAUD_MATERIALIZE_MAX_K}")
     kbit = 1 << (k - 1)
     full = len(sched.full_levels)  # the wholly deleted levels are sizes 1..full
-    partial = balanced_deletion(k - 1, sched.r - 1, sched.v) if sched.v else []
+    partial = balanced_deletion(k - 1, sched.r - 1, sched.v)
     deleted = {sub | kbit for sub in partial}
     kept = [
         s for s in range(1 << k)

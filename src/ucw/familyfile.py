@@ -83,27 +83,24 @@ def parse_family(text: str) -> Family:
 
     seen: set[int] = set()
     for line_no, line in lines[2:]:
-        if line == "-":
-            mask = 0
-        else:
-            elements = _numbers(line)
-            if elements is None:
-                raise FamilyParseError(BAD_SET_LINE, f"bad set line {line!r}", line_no)
-            mask = 0
-            prev = 0
-            for e in elements:
-                if e <= prev:
-                    raise FamilyParseError(
-                        ELEMENT_ORDER,
-                        f"elements must be strictly increasing, got {e} after {prev}",
-                        line_no,
-                    )
-                if e > m:
-                    raise FamilyParseError(
-                        ELEMENT_OUT_OF_RANGE, f"element {e} > m={m}", line_no
-                    )
-                mask |= 1 << (e - 1)
-                prev = e
+        elements = [] if line == "-" else _numbers(line)
+        if elements is None:
+            raise FamilyParseError(BAD_SET_LINE, f"bad set line {line!r}", line_no)
+        mask = 0
+        prev = 0
+        for e in elements:
+            if e <= prev:
+                raise FamilyParseError(
+                    ELEMENT_ORDER,
+                    f"elements must be strictly increasing, got {e} after {prev}",
+                    line_no,
+                )
+            if e > m:
+                raise FamilyParseError(
+                    ELEMENT_OUT_OF_RANGE, f"element {e} > m={m}", line_no
+                )
+            mask |= 1 << (e - 1)
+            prev = e
         if mask in seen:
             raise FamilyParseError(DUPLICATE_SET, f"set {line!r} repeated", line_no)
         seen.add(mask)

@@ -81,15 +81,6 @@ def frequency_order_relabel(f: Family) -> tuple[Family, tuple[int, ...]]:
     return Family.from_sets(len(order), new_sets), tuple(order)
 
 
-def _check_frequency_ordered(f: Family, who: str) -> tuple[int, ...]:
-    counts = frequencies(f)
-    if any(c == 0 for c in counts):
-        raise DomainError(f"{who} requires an exactly covered universe")
-    if any(counts[i] > counts[i + 1] for i in range(len(counts) - 1)):
-        raise DomainError(f"{who} requires non-decreasing frequencies (relabel first)")
-    return counts
-
-
 def s_collection(f: Family) -> STable:
     """The staircase sub-collection of a frequency-ordered separating family.
 
@@ -100,7 +91,11 @@ def s_collection(f: Family) -> STable:
     column has a member outside i's column.
     """
     _require_separating_union_closed(f, "s_collection")
-    _check_frequency_ordered(f, "s_collection")
+    counts = frequencies(f)
+    if any(c == 0 for c in counts):
+        raise DomainError("s_collection requires an exactly covered universe")
+    if any(counts[i] > counts[i + 1] for i in range(len(counts) - 1)):
+        raise DomainError("s_collection requires non-decreasing frequencies (relabel first)")
     m = f.m
     cols = membership_columns(f)
     everyone = (1 << len(f.sets)) - 1
@@ -139,14 +134,26 @@ def dominates(f: Family, b: int, c: int) -> bool:
     return not cols[c] & ~cols[b]
 
 
+def _domination_walk(table: STable, current: int) -> int:
+    """Lemma 1's walk: while ``current`` has fewer than m-1 rows, step to the
+    least j above it whose row avoids it (so j dominates it). Indices
+    strictly increase below m, and element m lies in all m rows, so the walk
+    ends at an element whose row count is m-1."""
+    m = table.m
+    while table.s_frequency[current - 1] < m - 1:
+        above = [j for j in range(current + 1, m) if not table.rows[j] >> (current - 1) & 1]
+        assert above, "staircase guarantees an avoiding row above"
+        current = above[0]
+    return current
+
+
 def lemma1_witness(f: Family, i: int) -> int | None:
     """An element with full row count that dominates i, or None if i already has it.
 
     Requires a frequency-ordered separating union-closed family (the same
-    preconditions as :func:`s_collection`). Walks the staircase upward: when
-    i's row count is short there is a j > i whose row avoids i, so j dominates
-    i; iterate from j. Indices strictly increase, so the walk ends within m
-    steps at an element whose row count is m-1.
+    preconditions as :func:`s_collection`). When i's row count is short there
+    is a j > i whose row avoids i, so j dominates i; the domination walk
+    iterates from j.
     """
     table = s_collection(f)
     m = table.m
@@ -154,28 +161,17 @@ def lemma1_witness(f: Family, i: int) -> int | None:
         raise DomainError(f"lemma1_witness needs i in 1..{m - 1}, got {i}")
     if table.s_frequency[i - 1] >= m - 1:
         return None
-    current = i
-    for _ in range(m):
-        if table.s_frequency[current - 1] == m - 1:
-            return current
-        nxt = None
-        for j in range(current + 1, m):
-            if not table.rows[j] >> (current - 1) & 1:
-                nxt = j
-                break
-        assert nxt is not None, "staircase guarantees an avoiding row above"
-        current = nxt
-    raise AssertionError("domination walk failed to terminate within m steps")
+    return _domination_walk(table, i)
 
 
 def corollary1_witness(f: Family, sub: Family) -> int:
     """A maximal-frequency element of ``sub`` with full row count in f's staircase.
 
     ``sub`` must be a non-empty sub-collection of f over the same universe.
-    Starting from the smallest maximal-frequency element of ``sub``, either it
-    already has m-1 rows or the domination walk hands back a dominating
-    element, which then contains every member of ``sub`` containing the
-    original one and is therefore also of maximal frequency.
+    The domination walk starts from the smallest maximal-frequency element of
+    ``sub``; each element it hands back dominates the one before, so it
+    contains every member of ``sub`` containing the original one and is
+    therefore also of maximal frequency.
     """
     if not sub.sets:
         raise DomainError("corollary1_witness requires a non-empty sub-collection")
@@ -184,11 +180,7 @@ def corollary1_witness(f: Family, sub: Family) -> int:
         raise DomainError("sub must be a sub-collection of f")
     table = s_collection(f)
     element, _ = max_frequency(sub)
-    if table.s_frequency[element - 1] >= table.m - 1:
-        return element
-    witness = lemma1_witness(f, element)
-    assert witness is not None
-    return witness
+    return _domination_walk(table, element)
 
 
 def s_frequency_bound(f: Family) -> tuple[int, int]:

@@ -212,6 +212,19 @@ def test_balanced_deletion_exact_degrees_exhaustive():
                 assert deg == expected, (K, h, v)
 
 
+@pytest.mark.parametrize("u", [0, 1, 2, 5])
+def test_balanced_deletion_empty_levels(u):
+    # level 0 holds only the empty set; the empty universe has no h-set for h >= 1
+    assert balanced_deletion(u, 0, 0) == []
+    assert balanced_deletion(u, 0, 1) == [0]
+    with pytest.raises(DomainError):
+        balanced_deletion(u, 0, 2)
+    for h in range(1, 4):
+        assert balanced_deletion(0, h, 0) == []
+        with pytest.raises(DomainError):
+            balanced_deletion(0, h, 1)
+
+
 # sha256 of the serialized B(n): any other selection with the same degrees
 # fails these; the 2..1024 digest runs over the documents one after another
 B_DIGESTS = {

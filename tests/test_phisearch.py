@@ -307,12 +307,15 @@ def test_phi_search_visited_pinned():
 
 
 def test_traversal_nodes_per_prefix_block_at_t7():
-    # the t = 7 pass that phi(13..16) will need, block by block, with m_cap = t
-    per_block = [
-        _branch_enumerate((7, 7, (1 << j) - 1, 0, 10**6))[0] for j in range(1, 8)
-    ]
-    assert per_block == [19264, 15179, 7687, 2364, 261, 8, 1]
-    assert sum(per_block) == 44764
+    # the t = 7 pass block by block, with m_cap = t: no union-closed family
+    # of 13 sets has every frequency <= 7, so phi(13) = 8 = beta(13), and
+    # phi(13..16) = 8 since phi is non-decreasing and beta(16) = 8; the
+    # node counts do not depend on n
+    blocks = [_branch_enumerate((7, 7, (1 << j) - 1, 13, 10**6)) for j in range(1, 8)]
+    assert [nodes for nodes, _, _ in blocks] == [19264, 15179, 7687, 2364, 261, 8, 1]
+    assert sum(nodes for nodes, _, _ in blocks) == 44764
+    assert all(violations == 0 and not found for _, violations, found in blocks)
+    assert beta(13)[0] == beta(16)[0] == 8
 
 
 def test_pool_size_caps():

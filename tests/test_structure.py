@@ -209,6 +209,56 @@ def test_lemma1_random_postconditions(rng):
     assert checked > 0
 
 
+def _reference_walk(f: Family, i: int) -> int:
+    # Lemma 1's walk without the staircase: step to the least j > i that
+    # dominates i until the row count is full
+    m = f.m
+    s_freq = _per_member_rows(f)[1]
+    while s_freq[i - 1] < m - 1:
+        i = next(j for j in range(i + 1, m) if brute_dominates(f, j, i))
+    return i
+
+
+def test_domination_walk_matches_reference(rng):
+    # the families of test_lemma1_random_postconditions, then the subs
+    families = [random_separating_union_closed(rng) for _ in range(100)]
+    ambiguous = 0
+    for fam in families:
+        if not any(fam.sets):
+            continue
+        relabeled, _ = frequency_order_relabel(fam)
+        m = relabeled.m
+        s_freq = _per_member_rows(relabeled)[1]
+        for i in range(1, m):
+            if s_freq[i - 1] == m - 1:
+                assert lemma1_witness(relabeled, i) is None
+                continue
+            assert lemma1_witness(relabeled, i) == _reference_walk(relabeled, i)
+            above = [j for j in range(i + 1, m) if brute_dominates(relabeled, j, i)]
+            ambiguous += len(above) > 1
+        for _ in range(5):
+            sub = Family.from_sets(m, rng.sample(relabeled.sets, rng.randint(1, len(relabeled))))
+            if not any(sub.sets):
+                continue
+            counts = frequencies(sub)
+            start = counts.index(max(counts)) + 1
+            assert corollary1_witness(relabeled, sub) == _reference_walk(relabeled, start)
+    assert ambiguous > 0  # some first steps have more than one dominating j
+
+
+def test_corollary1_builds_one_staircase(monkeypatch):
+    calls = []
+    build = structure.s_collection
+
+    def counted(f):
+        calls.append(f)
+        return build(f)
+
+    monkeypatch.setattr(structure, "s_collection", counted)
+    assert corollary1_witness(Family(3, (4, 6, 7)), Family(3, (7,))) == 2
+    assert len(calls) == 1
+
+
 def test_corollary1_symmetric_power_set():
     p2 = power_set_family(2)
     witness = corollary1_witness(p2, p2)
