@@ -90,8 +90,7 @@ def _cmd_gen_block_upset(args) -> int:
     fam = cons.block_upset_family(params)
     counts = core.frequencies(fam)
     element, top = core.max_frequency(fam)
-    holes = cons.hole_levels(params)
-    hole_text = f"{holes.start}..{holes.stop - 1}" if len(holes) else "none"
+    holes = cons.hole_levels(params)  # never empty
     block_counts = counts[: params.s * params.k]
     pairs = [
         ("n", len(fam)),
@@ -100,7 +99,7 @@ def _cmd_gen_block_upset(args) -> int:
         ("max_freq_element", element),
         ("top_element_freq", counts[-1]),
         ("block_freq_equal", _bool(len(set(block_counts)) == 1)),
-        ("hole_levels", hole_text),
+        ("hole_levels", f"{holes.start}..{holes.stop - 1}"),
     ]
     _write_family(fam, args.output, pairs)
     return 0

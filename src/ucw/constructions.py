@@ -46,11 +46,15 @@ from .core import (
 # ---------------------------------------------------------------------------
 # Conway's sequence
 
+CONWAY_MAX_N = 10**7
+
 
 def conway(limit: int) -> list[int]:
     """a(1..limit) by iterative memoization; a(n) = a(a(n-1)) + a(n-a(n-1))."""
     if limit < 1:
         raise DomainError("limit must be >= 1")
+    if limit > CONWAY_MAX_N:
+        raise CapacityError(f"conway capped at limit <= {CONWAY_MAX_N}")
     a = [0, 1, 1]  # 1-based; a[0] unused
     for n in range(3, limit + 1):
         prev = a[n - 1]
@@ -185,10 +189,10 @@ def balanced_deletion(universe: int, h: int, v: int) -> list[int]:
 
 def renaud_family(n: int) -> Family:
     """Materialize B(n): P(k) with 2^k - n balanced deletions among k-sets."""
+    if n > 1 << RENAUD_MATERIALIZE_MAX_K:  # k > K; refused before the schedule
+        raise CapacityError(f"materialization capped at k <= {RENAUD_MATERIALIZE_MAX_K}")
     sched = _beta_schedule(n)
     k = sched.k
-    if k > RENAUD_MATERIALIZE_MAX_K:
-        raise CapacityError(f"materialization capped at k <= {RENAUD_MATERIALIZE_MAX_K}")
     kbit = 1 << (k - 1)
     full = len(sched.full_levels)  # the wholly deleted levels are sizes 1..full
     partial = balanced_deletion(k - 1, sched.r - 1, sched.v)
@@ -287,7 +291,8 @@ def hole_levels(params: BlockUpsetParams) -> range:
     level k(s-1)+2, also exclusive. A top-element set of size L is a member
     iff its other L-1 elements hold a whole block; some (L-1)-set holds one
     when L-1 >= s and some holds none when L-1 <= k(s-1), so each level from
-    s+2 to k(s-1)+1 holds some but not all top-element sets of its size.
+    s+2 to k(s-1)+1 holds some but not all top-element sets of its size. The
+    range is never empty: s < k(s-1) fails for s, k >= 2 only at s = k = 2.
     """
     return range(params.s + 2, params.k * (params.s - 1) + 2)
 
@@ -463,7 +468,8 @@ def pad_family(f: Family, c) -> tuple[Family, PadParams]:
     exact rational arithmetic. The new members are U(C) minus one fresh
     element apiece (p-1 of them) plus U(C) itself, so closure is preserved,
     fresh elements appear in at most p members, and a separating input stays
-    separating. When n <= c m the family is returned unchanged with p = 0.
+    separating. When n <= c m the family is returned unchanged with p = 0;
+    otherwise 1 <= p < n, since p >= n would need 0 > n(c-2) + c(m-1) + 1.
     """
     frac = _as_fraction(c)
     n = len(f.sets)
@@ -476,8 +482,6 @@ def pad_family(f: Family, c) -> tuple[Family, PadParams]:
         return f, PadParams(frac, 0, ())
     p = -((-(n * den - num * m)) // (num - den))  # ceil in integers
     assert p >= 1
-    if p >= n:
-        raise DomainError(f"pad count p={p} reached n={n}; ratio target too tight")
     if f.m + p > MAX_UNIVERSE:
         raise CapacityError(f"padding needs {f.m + p} elements, over the {MAX_UNIVERSE} cap")
     new_elements = tuple(range(f.m + 1, f.m + p + 1))
@@ -513,8 +517,8 @@ def epsilon_bound_check(f: Family, c) -> EpsilonReport:
     """Pad f to ratio <= c, then verify the frequency bound concretely.
 
     Checks, in order: the padded family satisfies the half-membership
-    property (desk scale, verified directly); when n > p its maximal
-    frequency element lies in U(f); that element's frequency in f is at least
+    property (desk scale, verified directly); its maximal frequency element
+    lies in U(f); that element's frequency in f is at least
     ceil((n-p)/2) and strictly exceeds (c-2)/(2(c-1)) * n.
     """
     frac = _as_fraction(c)
@@ -532,7 +536,7 @@ def epsilon_bound_check(f: Family, c) -> EpsilonReport:
                      2 * (frac.numerator - frac.denominator)) * n
     holds = (
         verdict.holds
-        and (p == 0 or n <= p or in_original)
+        and in_original  # with p = 0 the padded family is f itself
         and freq_f >= ceiling
         and freq_f > bound
     )

@@ -222,7 +222,7 @@ def frequencies(f: Family) -> tuple[int, ...]:
 def max_frequency(f: Family) -> tuple[int, int]:
     """(element, count) for the most frequent element; smallest element wins ties."""
     counts = frequencies(f)
-    best = max(counts, default=0)
+    best = max(counts)  # f.m >= 1, so never empty
     if best == 0:
         raise DomainError("family has no non-empty member, no universe element")
     return (counts.index(best) + 1, best)

@@ -84,7 +84,7 @@ from .core import DomainError, Family, canonical_key
 
 PHI_SEARCH_MAX_N = 12
 PHI_NAIVE_MAX_N = 6
-DEFAULT_NODE_BUDGET = 20_000_000
+NODE_BUDGET = 20_000_000  # nodes per root task
 
 
 @dataclass(frozen=True)
@@ -94,16 +94,15 @@ class SearchConfig:
     ``m_max`` caps the universe of the ``naive`` oracle only (default n).
     The exact search rejects it: it always runs on [t], t the constructive
     bound minus one, which every family that beats the bound can be
-    relabeled into. ``node_budget`` bounds the enumeration per root task,
-    one task per prefix block. ``workers`` is capped at the number of root
-    tasks and of CPUs.
+    relabeled into. The module constant ``NODE_BUDGET`` bounds the
+    enumeration per root task, one task per prefix block. ``workers`` is
+    capped at the number of root tasks and of CPUs.
     """
 
     n: int
     m_max: int | None = None
     workers: int = 1
     naive: bool = False
-    node_budget: int = DEFAULT_NODE_BUDGET
 
 
 @dataclass(frozen=True)
@@ -163,7 +162,7 @@ def phi_naive(n: int, m_max: int | None = None) -> SearchResult:
     """
     if not 1 <= n <= PHI_NAIVE_MAX_N:
         raise DomainError(f"phi_naive supports 1 <= n <= {PHI_NAIVE_MAX_N}")
-    m = min(n, PHI_NAIVE_MAX_N) if m_max is None else m_max
+    m = n if m_max is None else m_max
     if not 1 <= m <= PHI_NAIVE_MAX_N:
         raise DomainError(f"phi_naive supports 1 <= m_max <= {PHI_NAIVE_MAX_N}")
     top = 1 << m
@@ -259,10 +258,12 @@ def _branch_enumerate(args):
     z holds a later element but not an earlier one: with r = c & ~z, r is
     non-empty and z & c > r & -r. As the module docstring shows, this
     reaches every family up to relabeling, its tuple-least relabeling
-    always, so the nodes and violations count class representatives. A
-    budget error carries B(n) (``None`` for n < 2, where B(n) is undefined).
+    always, so the nodes and violations count class representatives. A task
+    that passes ``NODE_BUDGET`` nodes raises a budget error carrying B(n)
+    (``None`` for n < 2, where B(n) is undefined).
     """
-    t, m_cap, first_mask, n, node_budget = args
+    t, m_cap, first_mask, n = args
+    budget = NODE_BUDGET
     masks = sorted(range(1 << m_cap), key=canonical_key)
     # element counts packed `width` bits per element, each field biased so
     # that its top bit is set exactly when the count passes t; a family on
@@ -285,7 +286,7 @@ def _branch_enumerate(args):
     def dfs(fam: frozenset, packed: int, added: set, later, classes: list):
         nonlocal nodes, violations
         nodes += 1
-        if nodes > node_budget:
+        if nodes > budget:
             raise SearchBudgetError(n, t + 1, renaud_family(n) if n >= 2 else None, nodes)
         # the parent's equal-column classes, split by the sets this node added
         for u in added:
@@ -364,7 +365,7 @@ def phi_search(config: SearchConfig) -> SearchResult:
 
     # Up to relabeling, the smallest non-empty member is a prefix block.
     blocks = [(1 << j) - 1 for j in range(1, t + 1)]
-    tasks = [(t, t, b, n, config.node_budget) for b in blocks]
+    tasks = [(t, t, b, n) for b in blocks]
     workers = _pool_size(config.workers, len(tasks), os.cpu_count())
     if workers <= 1:
         results = [_branch_enumerate(task) for task in tasks]
@@ -397,7 +398,7 @@ def verify_phi_table(limit: int) -> list[PhiTableRow]:
     """phi(n) for every n <= limit, checked against both upper bounds."""
     if not 1 <= limit <= PHI_SEARCH_MAX_N:
         raise DomainError(f"verify_phi_table supports 1 <= limit <= {PHI_SEARCH_MAX_N}")
-    a = conway(max(limit, 2))
+    a = conway(limit)
     rows = []
     for n in range(1, limit + 1):
         result = phi_search(SearchConfig(n))

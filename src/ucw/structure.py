@@ -88,7 +88,7 @@ def s_collection(f: Family) -> STable:
     plus the frequency ordering guarantee each i in 1..m-1 has an avoiding
     member, that the staircase pattern holds, and that all rows are distinct
     members (hence m <= |F|). Row i holds j exactly when j's membership
-    column has a member outside i's column.
+    column has a member outside i's column, so it never holds i itself.
     """
     _require_separating_union_closed(f, "s_collection")
     counts = frequencies(f)
@@ -109,12 +109,9 @@ def s_collection(f: Family) -> STable:
     for i, row in enumerate(rows):
         if row not in members:
             raise DomainError(f"row A_{i} is not a member (family not union-closed?)")
-        if i >= 1:
-            if row >> (i - 1) & 1:
-                raise DomainError(f"staircase broken: {i} in A_{i}")
-            expected_tail = ((1 << m) - 1) ^ ((1 << i) - 1)
-            if row & expected_tail != expected_tail:
-                raise DomainError(f"staircase broken: some j > {i} missing from A_{i}")
+        expected_tail = ((1 << m) - 1) ^ ((1 << i) - 1)  # all of U for A_0
+        if row & expected_tail != expected_tail:
+            raise DomainError(f"staircase broken: some j > {i} missing from A_{i}")
     s_freq = tuple(
         sum(1 for row in rows if row >> (e - 1) & 1) for e in range(1, m + 1)
     )

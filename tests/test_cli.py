@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 import ucw
-from ucw import core, structure
+from ucw import constructions, core, structure
 from ucw.cli import main
 from ucw.constructions import renaud_family
-from ucw.core import is_separating, is_union_closed, max_frequency
+from ucw.core import Family, is_separating, is_union_closed, max_frequency
 from ucw.familyfile import load_family, parse_family, serialize_family
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -54,6 +54,24 @@ def test_gen_conway(capsys):
     assert len(values) == 23
     assert values[0] == values[1] == "1"
     assert values[-1] == "14"
+
+
+def test_gen_conway_over_the_cap_exit_2(capsys, monkeypatch):
+    # a small patched cap stands in for CONWAY_MAX_N
+    monkeypatch.setattr(constructions, "CONWAY_MAX_N", 50)
+    assert run_cli(capsys, "gen", "conway", "-n", "50")[0] == 0
+    code, out, err = run_cli(capsys, "gen", "conway", "-n", "51")
+    assert (code, out, err) == (2, "", "error: conway capped at limit <= 50\n")
+
+
+def test_gen_renaud_past_the_cap_exit_2(capsys, monkeypatch):
+    # refused before the deletion schedule is built
+    def no_schedule(n):
+        raise AssertionError("schedule built before the cap check")
+
+    monkeypatch.setattr(constructions, "_beta_schedule", no_schedule)
+    code, out, err = run_cli(capsys, "gen", "renaud", "-n", str(10**4299))
+    assert (code, out, err) == (2, "", "error: materialization capped at k <= 13\n")
 
 
 def test_gen_renaud_writes_file_and_reports_beta(capsys, tmp_path):
@@ -128,6 +146,25 @@ def test_gen_pad_zero_denominator_is_a_usage_error(capsys, tmp_path, ratio):
     )
     assert code == 2 and out == ""
     assert f"argument -c: invalid Fraction value: '{ratio}'" in err
+    assert not dst.exists()
+
+
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        (Family(1, (0,)), "pad_family requires a non-empty universe"),
+        (Family.from_sets(64, range(8)), "padding needs 65 elements, over the 64 cap"),
+    ],
+    ids=["empty-set", "p3-over-m64"],
+)
+def test_gen_pad_refusal_exit_2(capsys, tmp_path, family, message):
+    src = tmp_path / "in.ucs"
+    dst = tmp_path / "padded.ucs"
+    src.write_text(serialize_family(family))
+    code, out, err = run_cli(
+        capsys, "gen", "pad", "-c", "5/2", "-i", str(src), "-o", str(dst)
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
     assert not dst.exists()
 
 

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from ucw import constructions
 from ucw.constructions import (
+    CONWAY_MAX_N,
     BlockUpsetParams,
     _entropy_bound_holds,
     balanced_deletion,
@@ -59,6 +61,18 @@ def test_conway_properties_clean():
     assert conway_properties(2) is None
     assert conway_properties(23) is None
     assert conway_properties(10_000) is None
+
+
+@pytest.mark.parametrize("cap", [2, 50])
+def test_conway_cap(monkeypatch, cap):
+    # a small patched cap stands in for CONWAY_MAX_N, so a broken check
+    # never starts a huge list; conway_properties(10**6) stays under the cap
+    assert CONWAY_MAX_N >= 10**6
+    monkeypatch.setattr(constructions, "CONWAY_MAX_N", cap)
+    assert len(conway(cap)) == cap
+    with pytest.raises(CapacityError) as err:
+        conway(cap + 1)
+    assert str(err.value) == f"conway capped at limit <= {cap}"
 
 
 def test_conway_power_of_two_midpoint():
@@ -179,9 +193,17 @@ def test_beta_closed_form_at_large_n():
     assert 0 < value <= 1 << 19
 
 
-def test_renaud_materialization_cap():
-    with pytest.raises(CapacityError):
-        renaud_family(10_000)  # k = 14 is past the materialization cap
+def test_renaud_materialization_cap(monkeypatch):
+    # k = 14 and up is past the materialization cap, refused before the
+    # deletion schedule is built
+    def no_schedule(n):
+        raise AssertionError("schedule built before the cap check")
+
+    monkeypatch.setattr(constructions, "_beta_schedule", no_schedule)
+    for n in (8193, 10_000, 2**14 + 1, 10**4299):
+        with pytest.raises(CapacityError) as err:
+            renaud_family(n)
+        assert str(err.value) == "materialization capped at k <= 13", n
 
 
 def test_balanced_deletion_degree_guarantee():
@@ -567,3 +589,36 @@ def test_epsilon_bound_check_two_block():
     report = epsilon_bound_check(fam, Fraction(11, 5))
     assert report.holds
     assert report.p > 0
+
+
+# ---------------------------------------------------------------------------
+# refusals of out-of-range input
+
+EMPTY_SET_ONLY = Family(1, (0,))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: conway(0), DomainError, "limit must be >= 1"),
+        (lambda: conway_properties(1), DomainError, "limit must be >= 2"),
+        (lambda: two_block_family(1), DomainError, "two_block_family requires N >= 2"),
+        (lambda: two_block_family(12), CapacityError,  # sk + 1 = 25
+         "materialization capped at sk+1 <= 24"),
+        (lambda: entropy_binomial_check(0), DomainError, "N must be >= 1"),
+        (lambda: epsilon_bound_check(EMPTY_SET_ONLY, 3), DomainError,
+         "epsilon_bound_check requires a non-empty member set"),
+        (lambda: pad_family(EMPTY_SET_ONLY, 3), DomainError,
+         "pad_family requires a non-empty universe"),
+        (lambda: pad_family(Family.from_sets(64, range(8)), Fraction(5, 2)),
+         CapacityError, "padding needs 65 elements, over the 64 cap"),
+    ],
+    ids=[
+        "conway-0", "conway-properties-1", "two-block-1", "two-block-12",
+        "entropy-0", "epsilon-empty-set", "pad-empty-set", "pad-p3-over-m64",
+    ],
+)
+def test_out_of_range_input_is_refused(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

@@ -107,6 +107,13 @@ def test_close_under_union_capacity_errors():
         close_under_union([0b100], 2)
 
 
+def test_power_set_family_capacity_cap():
+    assert len(power_set_family(1)) == 2
+    with pytest.raises(CapacityError) as err:
+        power_set_family(25)
+    assert str(err.value) == "refusing to materialize 2^25 sets"
+
+
 def test_is_union_closed_trivial():
     assert is_union_closed(Family.from_lists(2, [[1], [2], [1, 2]]))
     assert not is_union_closed(Family.from_lists(2, [[1], [2]]))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ucw import phisearch
 from ucw.constructions import beta, conway, renaud_family
 from ucw.core import (
     DomainError,
@@ -199,9 +200,7 @@ def test_branch_enumerate_matches_the_rescanning_reference(t, m_cap):
     # rule loses no isomorphism class of the rule-free traversal
     for j in range(1, m_cap + 1):
         for n in range(2, 13):
-            nodes, violations, found = _branch_enumerate(
-                (t, m_cap, (1 << j) - 1, n, 10**6)
-            )
+            nodes, violations, found = _branch_enumerate((t, m_cap, (1 << j) - 1, n))
             assert (nodes, violations, sorted(found)) == _branch_reference(
                 t, m_cap, (1 << j) - 1, n
             ), (j, n)
@@ -311,7 +310,7 @@ def test_traversal_nodes_per_prefix_block_at_t7():
     # of 13 sets has every frequency <= 7, so phi(13) = 8 = beta(13), and
     # phi(13..16) = 8 since phi is non-decreasing and beta(16) = 8; the
     # node counts do not depend on n
-    blocks = [_branch_enumerate((7, 7, (1 << j) - 1, 13, 10**6)) for j in range(1, 8)]
+    blocks = [_branch_enumerate((7, 7, (1 << j) - 1, 13)) for j in range(1, 8)]
     assert [nodes for nodes, _, _ in blocks] == [19264, 15179, 7687, 2364, 261, 8, 1]
     assert sum(nodes for nodes, _, _ in blocks) == 44764
     assert all(violations == 0 and not found for _, violations, found in blocks)
@@ -393,7 +392,7 @@ def _search_families(n, t, m_cap):
     # (largest frequency, members) of each recorded family
     found = []
     for j in range(1, m_cap + 1):
-        found += _branch_enumerate((t, m_cap, (1 << j) - 1, n, 10**6))[2]
+        found += _branch_enumerate((t, m_cap, (1 << j) - 1, n))[2]
     return found
 
 
@@ -509,7 +508,7 @@ def test_uncapped_traversal_counts_the_moore_families(m, count):
     forms = {}
     for n in range(2, t + 1, 2):
         for j in range(1, m + 1):
-            for _, sets in _branch_enumerate((t, m, (1 << j) - 1, n, 10**6))[2]:
+            for _, sets in _branch_enumerate((t, m, (1 << j) - 1, n))[2]:
                 sets = sets[1:] if sets[0] == 0 else sets
                 form, automorphisms = _canonical_form(sets, m)
                 forms[form] = automorphisms
@@ -546,9 +545,10 @@ def test_phi_search_scale_guard():
         phi_search(SearchConfig(13))
 
 
-def test_phi_search_budget_error_carries_incumbent():
+def test_phi_search_budget_error_carries_incumbent(monkeypatch):
+    monkeypatch.setattr(phisearch, "NODE_BUDGET", 10)
     with pytest.raises(SearchBudgetError) as err:
-        phi_search(SearchConfig(9, node_budget=10))
+        phi_search(SearchConfig(9))
     exc = err.value
     assert exc.incumbent == A[8]
     assert len(exc.witness) == 9
@@ -556,18 +556,21 @@ def test_phi_search_budget_error_carries_incumbent():
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 9])
-def test_branch_budget_error_for_every_n(n):
+def test_branch_budget_error_for_every_n(monkeypatch, n):
     # B(n) exists only from n = 2; below that the error carries no witness
+    monkeypatch.setattr(phisearch, "NODE_BUDGET", 1)
     with pytest.raises(SearchBudgetError) as err:
-        _branch_enumerate((4, 2, 1, n, 1))
+        _branch_enumerate((4, 2, 1, n))
     exc = err.value
     assert (exc.n, exc.incumbent, exc.visited) == (n, 5, 2)
     assert exc.witness == (renaud_family(n) if n >= 2 else None)
 
 
-def test_phi_search_budget_error_propagates_from_workers():
+def test_phi_search_budget_error_propagates_from_workers(monkeypatch):
+    # the forked workers inherit the patched budget
+    monkeypatch.setattr(phisearch, "NODE_BUDGET", 10)
     with pytest.raises(SearchBudgetError) as err:
-        phi_search(SearchConfig(9, workers=4, node_budget=10))
+        phi_search(SearchConfig(9, workers=4))
     exc = err.value
     assert exc.incumbent == A[8]
     assert len(exc.witness) == 9

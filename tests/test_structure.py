@@ -148,6 +148,28 @@ def test_s_collection_requires_frequency_order():
         s_collection(fam)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: s_collection(Family.from_lists(2, [[1], [2]])),
+         "s_collection requires a union-closed family"),
+        (lambda: s_collection(Family.from_lists(3, [[1], [2], [1, 2]])),
+         "s_collection requires an exactly covered universe"),
+        (lambda: frequency_order_relabel(Family(1, (0,))),
+         "frequency_order_relabel requires a non-empty universe"),
+        (lambda: lemma1_witness(power_set_family(3), 0),
+         "lemma1_witness needs i in 1..2, got 0"),
+        (lambda: lemma1_witness(power_set_family(3), 3),
+         "lemma1_witness needs i in 1..2, got 3"),
+    ],
+    ids=["s-not-closed", "s-unused-element", "relabel-empty-set", "lemma1-i0", "lemma1-im"],
+)
+def test_staircase_preconditions_are_refused(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_dominates_examples():
     fam = Family.from_lists(2, [[1, 2], [2]])
     assert dominates(fam, 2, 1)
