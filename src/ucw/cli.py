@@ -9,7 +9,7 @@ Subcommands::
     ucw gen pad -c NUM/DEN -i IN -o OUT
     ucw analyze FILE
     ucw verify FILE             (exit 0 holds / 1 violated / 2 usage or parse)
-    ucw search phi -n N [--naive] [--m-max M] [--workers W] [-o FILE]
+    ucw search phi -n N [--naive] [--m-max M] [-o FILE]
     ucw compare gap -N N
 
 ``--m-max`` bounds the ``--naive`` oracle only; without ``--naive`` it is a
@@ -23,6 +23,7 @@ problems, 1 is reserved for property violations.
 """
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -106,11 +107,14 @@ def _cmd_gen_block_upset(args) -> int:
 
 
 def _fraction(text: str) -> Fraction:
-    """argparse type for NUM/DEN; a zero denominator is a usage error too."""
+    """argparse type for NUM or NUM/DEN in ASCII digits; anything else, an
+    exponent or a zero denominator included, is a usage error."""
     try:
-        return Fraction(text)
+        if re.fullmatch(r"[0-9]+(/[0-9]+)?", text):
+            return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}")
 
 
 def _cmd_gen_pad(args) -> int:
@@ -187,10 +191,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search_phi(args) -> int:
-    config = SearchConfig(
-        n=args.n, m_max=args.m_max, workers=args.workers, naive=args.naive
-    )
-    result = phi_search(config)
+    result = phi_search(SearchConfig(args.n, m_max=args.m_max, naive=args.naive))
     pairs = [
         ("phi", result.phi),
         ("visited", result.visited),
@@ -262,7 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--naive", action="store_true")
     p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_search_phi)
 

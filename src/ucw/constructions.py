@@ -108,6 +108,8 @@ class BetaDecomposition:
 def _beta_schedule(n: int) -> BetaDecomposition:
     if n < 2:
         raise DomainError("beta/renaud_family need n >= 2")
+    if n > 1 << MAX_UNIVERSE:  # before the level loop's comb calls
+        raise CapacityError(f"B(n) needs k = ceil(log2 n) <= {MAX_UNIVERSE} elements")
     k = (n - 1).bit_length()
     d = (1 << k) - n
     full = []

@@ -56,10 +56,9 @@ least one non-empty member, of the largest element frequency. Two routes:
   reached at most once; the traversal reaches each family up to
   relabeling, the tuple-least relabeling always. The tasks reach disjoint
   families (each task fixes the smallest non-empty member), so node counts
-  are schedule-independent and worker processes can split the tasks
-  without sharing state. ``visited`` and ``conjecture_violations`` count
-  the class representatives the traversal reaches, not every labelled
-  family.
+  do not depend on the order in which the tasks run. ``visited`` and
+  ``conjecture_violations`` count the class representatives the traversal
+  reaches, not every labelled family.
 
 The witness reported with phi(n) is the balanced-deletion family when the
 bound is tight (it always is on the verified range); otherwise, as in
@@ -73,11 +72,8 @@ whose traversal reaches it on [t] with the same frequencies, and the
 equal-column rule never cuts it.
 """
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 from .constructions import beta, conway, renaud_family
 from .core import DomainError, Family, canonical_key
@@ -95,13 +91,11 @@ class SearchConfig:
     The exact search rejects it: it always runs on [t], t the constructive
     bound minus one, which every family that beats the bound can be
     relabeled into. The module constant ``NODE_BUDGET`` bounds the
-    enumeration per root task, one task per prefix block. ``workers`` is
-    capped at the number of root tasks and of CPUs.
+    enumeration per root task, one task per prefix block.
     """
 
     n: int
     m_max: int | None = None
-    workers: int = 1
     naive: bool = False
 
 
@@ -125,9 +119,6 @@ class SearchBudgetError(RuntimeError):
         self.incumbent = incumbent
         self.witness = witness
         self.visited = visited
-
-    def __reduce__(self):  # crosses process-pool boundaries
-        return (type(self), (self.n, self.incumbent, self.witness, self.visited))
 
 
 def _least_family(m: int, pool) -> Family:
@@ -239,7 +230,7 @@ def phi_naive(n: int, m_max: int | None = None) -> SearchResult:
     return SearchResult(best[0], witness, nodes, time.perf_counter() - start)
 
 
-def _branch_enumerate(args):
+def _branch_enumerate(t: int, m_cap: int, first_mask: int, n: int):
     """Exhaust one root task; returns (nodes, violations, improving families).
 
     A task fixes the first chosen set to a prefix block and grows from it
@@ -262,7 +253,6 @@ def _branch_enumerate(args):
     that passes ``NODE_BUDGET`` nodes raises a budget error carrying B(n)
     (``None`` for n < 2, where B(n) is undefined).
     """
-    t, m_cap, first_mask, n = args
     budget = NODE_BUDGET
     masks = sorted(range(1 << m_cap), key=canonical_key)
     # element counts packed `width` bits per element, each field biased so
@@ -341,11 +331,6 @@ def _branch_enumerate(args):
     return nodes, violations, found
 
 
-def _pool_size(requested: int, tasks: int, cpus: int | None) -> int:
-    """Worker processes worth starting: at most one per task and per CPU."""
-    return max(1, min(requested, tasks, cpus or 1))
-
-
 def phi_search(config: SearchConfig) -> SearchResult:
     """Exact phi(n) for n <= 12 with a schedule-independent witness."""
     if config.naive:
@@ -365,14 +350,7 @@ def phi_search(config: SearchConfig) -> SearchResult:
 
     # Up to relabeling, the smallest non-empty member is a prefix block.
     blocks = [(1 << j) - 1 for j in range(1, t + 1)]
-    tasks = [(t, t, b, n) for b in blocks]
-    workers = _pool_size(config.workers, len(tasks), os.cpu_count())
-    if workers <= 1:
-        results = [_branch_enumerate(task) for task in tasks]
-    else:
-        ctx = get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            results = list(pool.map(_branch_enumerate, tasks))
+    results = [_branch_enumerate(t, t, b, n) for b in blocks]
 
     visited = sum(r[0] for r in results)
     violations = sum(r[1] for r in results)

@@ -93,6 +93,13 @@ def test_gen_renaud_stdout_document(capsys):
     assert as_pairs(err)["beta"] == "13"
 
 
+def test_gen_beta_past_the_universe_exit_2(capsys):
+    # B(n) needs k = ceil(log2 n) <= 64 elements; refused before the schedule
+    code, out, err = run_cli(capsys, "gen", "beta", "-n", str(10**4299))
+    assert (code, out) == (2, "")
+    assert err == "error: B(n) needs k = ceil(log2 n) <= 64 elements\n"
+
+
 def test_gen_beta_cross_check(capsys):
     code, out, _ = run_cli(capsys, "gen", "beta", "-n", "56")
     assert code == 0
@@ -136,10 +143,11 @@ def test_gen_pad(capsys, tmp_path):
     assert is_union_closed(fam) and is_separating(fam)
 
 
-@pytest.mark.parametrize("ratio", ["5/0", "0/0"])
+@pytest.mark.parametrize("ratio", ["5/0", "0/0", "1e10000000"])
 def test_gen_pad_zero_denominator_is_a_usage_error(capsys, tmp_path, ratio):
-    # Fraction raises ZeroDivisionError here, which argparse does not turn
-    # into a usage error on its own
+    # Fraction raises ZeroDivisionError on a zero denominator, which argparse
+    # does not turn into a usage error on its own; an exponent is refused
+    # before Fraction would expand it
     dst = tmp_path / "padded.ucs"
     code, out, err = run_cli(
         capsys, "gen", "pad", "-c", ratio, "-i", str(GOLDEN / "b23.ucs"), "-o", str(dst)
@@ -346,27 +354,15 @@ def test_search_phi_m_max_without_naive_exit_2(capsys, n, m):
     )
 
 
-def test_search_phi_workers_deterministic(capsys, tmp_path):
-    outputs = []
-    for workers in ("1", "4", "8"):
-        target = tmp_path / f"w{workers}.ucs"
-        code, out, _ = run_cli(
-            capsys, "search", "phi", "-n", "7", "--workers", workers,
-            "-o", str(target),
-        )
-        assert code == 0
-        outputs.append((out, target.read_text()))
-    assert outputs[0] == outputs[1] == outputs[2]
-    pairs = as_pairs(outputs[0][0])
-    assert pairs["phi"] == "4"
-    assert pairs["conjecture_violations"] == "0"
-
-
 def test_domain_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "gen", "beta", "-n", "1")
     assert code == 2 and "error" in err
     code, _, err = run_cli(capsys, "gen", "pad", "-c", "2/1", "-i", "x", "-o", "y")
     assert code == 2
+    # the search runs in one process; --workers is no longer an option
+    code, out, err = run_cli(capsys, "search", "phi", "-n", "7", "--workers", "2")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --workers 2" in err
 
 
 def test_compare_gap(capsys):
@@ -428,7 +424,8 @@ def test_import_needs_no_third_party_package():
         [
             sys.executable,
             "-c",
-            "import sys, ucw; print(sorted({'numpy', 'mpmath'} & set(sys.modules)))",
+            "import sys, ucw; print(sorted({'numpy', 'mpmath', 'multiprocessing',"
+            " 'concurrent.futures'} & set(sys.modules)))",
         ],
         capture_output=True,
         text=True,

@@ -193,6 +193,14 @@ def test_beta_closed_form_at_large_n():
     assert 0 < value <= 1 << 19
 
 
+def test_beta_capped_at_the_universe():
+    # B(n) needs k = ceil(log2 n) elements, at most MAX_UNIVERSE like every Family
+    value, decomp = beta(1 << 64)
+    assert (decomp.k, value) == (64, 1 << 63)
+    with pytest.raises(CapacityError):
+        beta((1 << 64) + 1)
+
+
 def test_renaud_materialization_cap(monkeypatch):
     # k = 14 and up is past the materialization cap, refused before the
     # deletion schedule is built

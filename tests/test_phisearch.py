@@ -26,7 +26,6 @@ from ucw.phisearch import (
     SearchResult,
     _branch_enumerate,
     _least_family,
-    _pool_size,
     phi_naive,
     phi_search,
     verify_phi_table,
@@ -200,7 +199,7 @@ def test_branch_enumerate_matches_the_rescanning_reference(t, m_cap):
     # rule loses no isomorphism class of the rule-free traversal
     for j in range(1, m_cap + 1):
         for n in range(2, 13):
-            nodes, violations, found = _branch_enumerate((t, m_cap, (1 << j) - 1, n))
+            nodes, violations, found = _branch_enumerate(t, m_cap, (1 << j) - 1, n)
             assert (nodes, violations, sorted(found)) == _branch_reference(
                 t, m_cap, (1 << j) - 1, n
             ), (j, n)
@@ -284,15 +283,6 @@ def test_phi_search_no_conjecture_violations():
         assert phi_search(SearchConfig(n)).conjecture_violations == 0
 
 
-def test_phi_search_worker_determinism():
-    base = phi_search(SearchConfig(7, workers=1))
-    for workers in (4, 8):
-        other = phi_search(SearchConfig(7, workers=workers))
-        assert other.phi == base.phi
-        assert other.witness == base.witness
-        assert other.visited == base.visited
-
-
 def test_phi_search_visited_pinned():
     # node counts do not depend on the schedule; a change here must be
     # explained by a change to the enumeration. The traversal prunes by the
@@ -310,22 +300,11 @@ def test_traversal_nodes_per_prefix_block_at_t7():
     # of 13 sets has every frequency <= 7, so phi(13) = 8 = beta(13), and
     # phi(13..16) = 8 since phi is non-decreasing and beta(16) = 8; the
     # node counts do not depend on n
-    blocks = [_branch_enumerate((7, 7, (1 << j) - 1, 13)) for j in range(1, 8)]
+    blocks = [_branch_enumerate(7, 7, (1 << j) - 1, 13) for j in range(1, 8)]
     assert [nodes for nodes, _, _ in blocks] == [19264, 15179, 7687, 2364, 261, 8, 1]
     assert sum(nodes for nodes, _, _ in blocks) == 44764
     assert all(violations == 0 and not found for _, violations, found in blocks)
     assert beta(13)[0] == beta(16)[0] == 8
-
-
-def test_pool_size_caps():
-    assert _pool_size(1, 12, 2) == 1
-    assert _pool_size(8, 12, 2) == 2
-    assert _pool_size(8, 3, 16) == 3
-    assert _pool_size(4, 12, 16) == 4
-    assert _pool_size(10**9, 12, 64) == 12
-    assert _pool_size(0, 12, 2) == 1
-    assert _pool_size(-5, 12, 2) == 1
-    assert _pool_size(4, 12, None) == 1  # cpu count unknown
 
 
 def _union_closed_families(m: int, n: int) -> list[tuple[int, ...]]:
@@ -392,7 +371,7 @@ def _search_families(n, t, m_cap):
     # (largest frequency, members) of each recorded family
     found = []
     for j in range(1, m_cap + 1):
-        found += _branch_enumerate((t, m_cap, (1 << j) - 1, n))[2]
+        found += _branch_enumerate(t, m_cap, (1 << j) - 1, n)[2]
     return found
 
 
@@ -508,7 +487,7 @@ def test_uncapped_traversal_counts_the_moore_families(m, count):
     forms = {}
     for n in range(2, t + 1, 2):
         for j in range(1, m + 1):
-            for _, sets in _branch_enumerate((t, m, (1 << j) - 1, n))[2]:
+            for _, sets in _branch_enumerate(t, m, (1 << j) - 1, n)[2]:
                 sets = sets[1:] if sets[0] == 0 else sets
                 form, automorphisms = _canonical_form(sets, m)
                 forms[form] = automorphisms
@@ -560,21 +539,10 @@ def test_branch_budget_error_for_every_n(monkeypatch, n):
     # B(n) exists only from n = 2; below that the error carries no witness
     monkeypatch.setattr(phisearch, "NODE_BUDGET", 1)
     with pytest.raises(SearchBudgetError) as err:
-        _branch_enumerate((4, 2, 1, n))
+        _branch_enumerate(4, 2, 1, n)
     exc = err.value
     assert (exc.n, exc.incumbent, exc.visited) == (n, 5, 2)
     assert exc.witness == (renaud_family(n) if n >= 2 else None)
-
-
-def test_phi_search_budget_error_propagates_from_workers(monkeypatch):
-    # the forked workers inherit the patched budget
-    monkeypatch.setattr(phisearch, "NODE_BUDGET", 10)
-    with pytest.raises(SearchBudgetError) as err:
-        phi_search(SearchConfig(9, workers=4))
-    exc = err.value
-    assert exc.incumbent == A[8]
-    assert len(exc.witness) == 9
-    assert max_frequency(exc.witness)[1] == exc.incumbent
 
 
 def test_verify_phi_table():
