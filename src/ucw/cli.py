@@ -168,7 +168,7 @@ def _cmd_analyze(args) -> int:
     else:
         pairs += [("conjecture", "n/a"), ("conjecture_witness", "n/a")]
     if closed and separating and any(fam.sets):
-        # s_frequency_bound has checked the staircase: one row per used element
+        # the staircase has one row A_i per used element, so |U| rows
         element, count = structure.s_frequency_bound(fam)
         pairs += [
             ("s_table_rows", core.universe_of(fam).bit_count()),

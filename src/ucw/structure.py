@@ -29,6 +29,7 @@ from .core import (
     is_union_closed,
     max_frequency,
     membership_columns,
+    universe_of,
 )
 
 
@@ -183,15 +184,18 @@ def corollary1_witness(f: Family, sub: Family) -> int:
 def s_frequency_bound(f: Family) -> tuple[int, int]:
     """(element, count) with count >= |U(f)| for a separating union-closed family.
 
-    The element landing on the top staircase position lies in all m distinct
-    rows, so its frequency is at least m.
+    The element is the greatest ``(count, element)`` pair, the one
+    :func:`frequency_order_relabel` puts last. It lands on the top staircase
+    position and lies in all m distinct rows, so its frequency is at least m.
     """
-    relabeled, perm = frequency_order_relabel(f)
-    s_collection(relabeled)  # validates the staircase; rows are m distinct members
-    old = perm[relabeled.m - 1]
-    count = frequencies(f)[old - 1]
-    assert count >= relabeled.m
-    return (old, count)
+    _require_separating_union_closed(f, "s_frequency_bound")
+    counts = frequencies(f)
+    used = [e for e in range(1, f.m + 1) if counts[e - 1] > 0]
+    if not used:
+        raise DomainError("s_frequency_bound requires a non-empty universe")
+    count, element = max((counts[e - 1], e) for e in used)
+    assert count >= len(used)
+    return (element, count)
 
 
 def minimal_counterexample_audit(f: Family) -> AuditReport:
@@ -213,7 +217,7 @@ def minimal_counterexample_audit(f: Family) -> AuditReport:
             size_bound_ok=None,
         )
     n = len(f.sets)
-    m = len(membership_columns(f))  # |U(f)|
+    m = universe_of(f).bit_count()
     _, top = max_frequency(f)
     parity_ok = n % 2 == 1
     maxfreq_equals_n = parity_ok and top == (n - 1) // 2

@@ -190,7 +190,8 @@ def test_analyze_b23(capsys):
     assert int(pairs["s_bound_frequency"]) >= 5
 
 
-def test_analyze_builds_the_staircase_once(capsys, monkeypatch):
+def test_analyze_builds_no_staircase(capsys, monkeypatch):
+    # s_frequency_bound reads the bound off the file family's frequencies
     calls = Counter()
     for name in ("frequency_order_relabel", "s_collection"):
         fn = getattr(structure, name)
@@ -202,14 +203,14 @@ def test_analyze_builds_the_staircase_once(capsys, monkeypatch):
         monkeypatch.setattr(structure, name, counted)
     code, _, _ = run_cli(capsys, "analyze", str(GOLDEN / "b23.ucs"))
     assert code == 0
-    assert calls == {"frequency_order_relabel": 1, "s_collection": 1}
+    assert calls == {}
 
 
-def test_analyze_scans_closure_twice(capsys, union_augment_calls):
-    # one scan of the file's family, one of its frequency-ordered relabeling
+def test_analyze_scans_closure_once(capsys, union_augment_calls):
+    # one scan of the file's family, which every later check reuses
     code, out, _ = run_cli(capsys, "analyze", str(GOLDEN / "b23.ucs"))
     assert code == 0
-    assert len(union_augment_calls) == 2 * int(as_pairs(out)["basis_count"]) == 14
+    assert len(union_augment_calls) == int(as_pairs(out)["basis_count"]) == 7
 
 
 def test_analyze_emits_stable_audit_keys(capsys):

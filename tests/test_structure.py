@@ -161,8 +161,15 @@ def test_s_collection_requires_frequency_order():
          "lemma1_witness needs i in 1..2, got 0"),
         (lambda: lemma1_witness(power_set_family(3), 3),
          "lemma1_witness needs i in 1..2, got 3"),
+        (lambda: s_frequency_bound(Family(1, (0,))),
+         "s_frequency_bound requires a non-empty universe"),
+        (lambda: s_frequency_bound(Family.from_lists(2, [[1, 2]])),
+         "s_frequency_bound requires a separating family (quotient first)"),
     ],
-    ids=["s-not-closed", "s-unused-element", "relabel-empty-set", "lemma1-i0", "lemma1-im"],
+    ids=[
+        "s-not-closed", "s-unused-element", "relabel-empty-set", "lemma1-i0", "lemma1-im",
+        "bound-empty-set", "bound-not-separating",
+    ],
 )
 def test_staircase_preconditions_are_refused(call, message):
     with pytest.raises(DomainError) as err:
@@ -354,6 +361,23 @@ def test_s_frequency_bound_random(rng):
         m = universe_of(fam).bit_count()
         _, count = s_frequency_bound(fam)
         assert count >= m
+
+
+def _assert_bound_is_staircase_top(f: Family) -> None:
+    # the staircase route is the reference: relabel by frequency, build the
+    # rows, and read the bound off the element placed last
+    relabeled, perm = frequency_order_relabel(f)
+    assert s_collection(relabeled).s_frequency[-1] == relabeled.m
+    assert s_frequency_bound(f) == (perm[-1], frequencies(f)[perm[-1] - 1])
+
+
+def test_s_frequency_bound_matches_staircase_route(rng):
+    for _ in range(150):
+        src = random_separating_union_closed(rng, m_max=12)
+        for sets in (set(src.sets) | {0}, set(src.sets) - {0}):
+            _assert_bound_is_staircase_top(Family.from_sets(src.m, sets))
+    for n in range(2, 301):
+        _assert_bound_is_staircase_top(renaud_family(n))
 
 
 def test_audit_power_set():
