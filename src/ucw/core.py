@@ -12,7 +12,6 @@ facts on first use, its closure scan and its membership columns; both are
 deterministic, so a thread race only computes one of them twice.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -101,11 +100,6 @@ class Family:
 
     def __len__(self) -> int:
         return len(self.sets)
-
-    def __contains__(self, mask: SetMask) -> bool:
-        key = canonical_key(mask)
-        i = bisect_left(self.sets, key, key=canonical_key)
-        return i < len(self.sets) and self.sets[i] == mask
 
     def __iter__(self):
         return iter(self.sets)

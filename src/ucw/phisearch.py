@@ -9,31 +9,30 @@ least one non-empty member, of the largest element frequency. Two routes:
 
 * :func:`phi_search` proves the value by exhausting the space *below*
   beta(n), the maximal frequency of B(n) (at most a(n), as the tests check
-  through n = 1024); let t be beta(n) - 1. Four reductions keep that space
+  through n = 1024); let t be beta(n) - 1. Three reductions keep that space
   small: merging equal membership columns preserves the member count and
   every frequency, so only separating representatives matter; a separating
   union-closed family has an element of frequency >= |U|, so any family
   with every frequency at most t lives on at most t columns and can be
-  relabeled into [t]; the smallest non-empty member can be normalized to a
-  prefix block; and adding the empty set changes no frequency and no
+  relabeled into [t]; and adding the empty set changes no frequency and no
   non-zero column, so the families holding it are {∅} plus the ∅-free
-  families of n-1 sets. The search is therefore one traversal per prefix
-  block of the ∅-free union-closed families on [t] with every frequency at
-  most t. Families are built by closure-augmentation: member sets are
-  chosen in ascending canonical order, and each insertion x into the
-  union-closed F closes in one pass to F ∪ {x} ∪ {x|f : f ∈ F}. The one
+  families of n-1 sets. The search is therefore one traversal, grown from
+  the empty family, of the ∅-free union-closed families on [t] with every
+  frequency at most t. Families are built by closure-augmentation: member
+  sets are chosen in ascending canonical order, and each insertion x into
+  the union-closed F closes in one pass to F ∪ {x} ∪ {x|f : f ∈ F}. The one
   prune is the frequency cap: a branch dies when some frequency passes t,
   as it does in every superset. Closure is monotone, so a candidate the
   cap rejects at a node is rejected at every descendant: each node takes
   the candidates its parent kept after its own, updates their
-  augmentations by the sets it added and keeps those within the cap. The
-  root's parent is the empty family, where each augmentation is the mask
-  alone. The tree thus depends on t, not on n; n enters only at the
-  nodes, where a node of n sets is recorded as found and a node of n-1
-  sets is recorded with ∅ added. (Pruning against n as well, by a closure
-  that overruns n sets or too few free frequency slots for the members
-  still owed, cuts at most three nodes of such a tree for n <= 12, and
-  would need a second traversal for the ∅ fold. No test of the
+  augmentations by the sets it added and keeps those within the cap. At
+  the root, the empty family, each augmentation is the mask alone. The
+  tree thus depends on t, not on n; n enters only at the nodes, where a
+  node of n sets is recorded as found and a node of n-1 sets is recorded
+  with ∅ added; the root itself is neither. (Pruning against n as well, by
+  a closure that overruns n sets or too few free frequency slots for the
+  members still owed, cuts at most three nodes of such a tree for n <= 12,
+  and would need a second traversal for the ∅ fold. No test of the
   distinct-column count is needed either: every node is union-closed, so
   more than t distinct non-zero columns already force a frequency above
   t.)
@@ -46,19 +45,18 @@ least one non-empty member, of the largest element frequency. Two routes:
   one-element classes, and a child splits its parent's classes by the
   sets it added, so the test costs one mask per class. The rule is sound
   and keeps the witness. Let G* be the relabeling of a family G with the
-  least member tuple in canonical order. Its least member is a prefix
-  block, and its path chooses at each node F the least member z of G*
-  outside F, so every member of G* below z lies in F. If i < j had equal
-  columns over F and z held j but not i, the swap σ = (i j) would fix every
-  member of F, and σ(z) < z would lie outside F and so outside G*. Then
-  σ(G*) would hold the members of G* below z and also σ(z), a smaller
-  member tuple than G*'s. So G* is never cut. Within a root task a family is
-  reached at most once; the traversal reaches each family up to
-  relabeling, the tuple-least relabeling always. The tasks reach disjoint
-  families (each task fixes the smallest non-empty member), so node counts
-  do not depend on the order in which the tasks run. ``visited`` and
-  ``conjecture_violations`` count the class representatives the traversal
-  reaches, not every labelled family.
+  least member tuple in canonical order. Its path chooses at each node F
+  the least member z of G* outside F, so every member of G* below z lies
+  in F. If i < j had equal columns over F and z held j but not i, the swap
+  σ = (i j) would fix every member of F, and σ(z) < z would lie outside F
+  and so outside G*. Then σ(G*) would hold the members of G* below z and
+  also σ(z), a smaller member tuple than G*'s. So G* is never cut. At the
+  root every column is empty, so [t] is one class, and the rule lets only
+  the prefix blocks through as first members; by the same swap at F = ∅,
+  G*'s least member is one of them. The traversal reaches a family at
+  most once, and each family up to relabeling, the tuple-least relabeling
+  always. ``visited`` and ``conjecture_violations`` count the class
+  representatives the traversal reaches, not every labelled family.
 
 The witness reported with phi(n) is the balanced-deletion family when the
 bound is tight (it always is on the verified range); otherwise, as in
@@ -67,9 +65,8 @@ by its member tuple in canonical order. That is also the least over every
 relabeling of the tied families, since each pool holds the least relabeling
 of each member: phi_naive's pool, every union-closed n-subset of P(m) with
 the least frequency and sizes, is closed under relabeling, and in
-phi_search the least relabeling starts, after any ∅, with a prefix block
-whose traversal reaches it on [t] with the same frequencies, and the
-equal-column rule never cuts it.
+phi_search the traversal reaches the least relabeling, less any ∅, on [t]
+with the same frequencies, and the equal-column rule never cuts it.
 """
 
 import time
@@ -80,7 +77,7 @@ from .core import DomainError, Family, canonical_key
 
 PHI_SEARCH_MAX_N = 12
 PHI_NAIVE_MAX_N = 6
-NODE_BUDGET = 20_000_000  # nodes per root task
+NODE_BUDGET = 20_000_000  # nodes per search
 
 
 @dataclass(frozen=True)
@@ -90,8 +87,8 @@ class SearchConfig:
     ``m_max`` caps the universe of the ``naive`` oracle only (default n).
     The exact search rejects it: it always runs on [t], t the constructive
     bound minus one, which every family that beats the bound can be
-    relabeled into. The module constant ``NODE_BUDGET`` bounds the
-    enumeration per root task, one task per prefix block.
+    relabeled into. The module constant ``NODE_BUDGET`` bounds the nodes
+    of the whole search.
     """
 
     n: int
@@ -230,31 +227,34 @@ def phi_naive(n: int, m_max: int | None = None) -> SearchResult:
     return SearchResult(best[0], witness, nodes, time.perf_counter() - start)
 
 
-def _branch_enumerate(t: int, m_cap: int, first_mask: int, n: int):
-    """Exhaust one root task; returns (nodes, violations, improving families).
+def _branch_enumerate(t: int, m_cap: int, n: int):
+    """Exhaust the search tree; returns (branch_nodes, violations, found).
 
-    A task fixes the first chosen set to a prefix block and grows from it
-    every ∅-free union-closed family on [m_cap] with all frequencies <= t.
-    Improving families are the nodes of n sets and, with ∅ added, the nodes
-    of n-1 sets. The half-membership check counts each node twice, with
-    and without ∅, since ∅ adds a member and no frequency.
+    The tree grows from the empty family every ∅-free union-closed family
+    on [m_cap] with all frequencies <= t. Improving families are the nodes
+    of n sets and, with ∅ added, the nodes of n-1 sets; ``found`` lists
+    them as (largest frequency, members). The half-membership check counts
+    each node twice, with and without ∅, since ∅ adds a member and no
+    frequency. The root, the empty family, is no phi family: it is neither
+    counted nor recorded.
 
     Each node takes ``later``, the candidates its parent kept after its
     own, drops those it added, updates the rest by the sets it added and
-    keeps those whose counts stay <= t; the root's parent is the empty
-    family, where each later mask z adds just {z}. Each node also takes its
-    parent's classes of elements with equal columns (two or more elements
-    each; the root's parent has one class, [m_cap]) and splits them by the
-    sets it added. A kept candidate z grows a child unless, in some class c,
-    z holds a later element but not an earlier one: with r = c & ~z, r is
-    non-empty and z & c > r & -r. As the module docstring shows, this
-    reaches every family up to relabeling, its tuple-least relabeling
-    always, so the nodes and violations count class representatives. A task
-    that passes ``NODE_BUDGET`` nodes raises a budget error carrying B(n)
-    (``None`` for n < 2, where B(n) is undefined).
+    keeps those whose counts stay <= t; at the root each mask z adds just
+    {z}. Each node also takes its parent's classes of elements with equal
+    columns (two or more elements each; the root has one class, [m_cap])
+    and splits them by the sets it added. A kept candidate z grows a child
+    unless, in some class c, z holds a later element but not an earlier
+    one: with r = c & ~z, r is non-empty and z & c > r & -r. At the root
+    that lets through exactly the prefix blocks, so ``branch_nodes[j-1]``
+    counts the nodes whose least member is the block [j]. As the module
+    docstring shows, the tree reaches every family up to relabeling, its
+    tuple-least relabeling always, so the nodes and violations count class
+    representatives. A search that passes ``NODE_BUDGET`` nodes raises a
+    budget error carrying B(n) (``None`` for n < 2, where B(n) is
+    undefined).
     """
     budget = NODE_BUDGET
-    masks = sorted(range(1 << m_cap), key=canonical_key)
     # element counts packed `width` bits per element, each field biased so
     # that its top bit is set exactly when the count passes t; a family on
     # [m_cap] has at most 2^m_cap members, so no field carries into the next
@@ -270,14 +270,12 @@ def _branch_enumerate(t: int, m_cap: int, first_mask: int, n: int):
     lift = [(t + 1 - k) * ones for k in range(t + 1)]  # top bit iff count >= k
     shifts = range(0, width * m_cap, width)
     found: list[tuple[int, tuple[int, ...]]] = []
+    branch_nodes = [0] * m_cap
     nodes = 0
     violations = 0
 
     def dfs(fam: frozenset, packed: int, added: set, later, classes: list):
         nonlocal nodes, violations
-        nodes += 1
-        if nodes > budget:
-            raise SearchBudgetError(n, t + 1, renaud_family(n) if n >= 2 else None, nodes)
         # the parent's equal-column classes, split by the sets this node added
         for u in added:
             if not classes:
@@ -290,7 +288,7 @@ def _branch_enumerate(t: int, m_cap: int, first_mask: int, n: int):
         # is one test on the packed counts; unpack only when it fails or
         # the node is recorded
         half = size // 2 + 1
-        if n - 1 <= size <= n or half > t or not (packed + lift[half]) & over:
+        if size and (n - 1 <= size <= n or half > t or not (packed + lift[half]) & over):
             top_count = max(packed >> shift & field for shift in shifts) - bias
             violations += (2 * top_count < size) + (2 * top_count < size + 1)
             if size == n:
@@ -321,18 +319,23 @@ def _branch_enumerate(t: int, m_cap: int, first_mask: int, n: int):
                 if r and z & c > r & -r:
                     break
             else:
+                nodes += 1
+                if nodes > budget:
+                    raise SearchBudgetError(
+                        n, t + 1, renaud_family(n) if n >= 2 else None, nodes
+                    )
                 dfs(fam | new, z_packed, new, candidates[i + 1 :], classes)
+                if not fam:  # the root: prefix block z's branch is done
+                    branch_nodes[z.bit_count() - 1] = nodes - sum(branch_nodes)
 
-    root_key = canonical_key(first_mask)
-    later = ((z, {z}, 0) for z in masks if canonical_key(z) > root_key)
-    packed = bias * ones + spread[first_mask]
-    # the empty family, the root's parent, has one class of equal columns
-    dfs(frozenset((first_mask,)), packed, {first_mask}, later, [(1 << m_cap) - 1])
-    return nodes, violations, found
+    masks = sorted(range(1, 1 << m_cap), key=canonical_key)
+    dfs(frozenset(), bias * ones, set(), ((z, {z}, 0) for z in masks), [(1 << m_cap) - 1])
+    return branch_nodes, violations, found
 
 
 def phi_search(config: SearchConfig) -> SearchResult:
-    """Exact phi(n) for n <= 12 with a schedule-independent witness."""
+    """Exact phi(n) for n <= 12 by one traversal below beta(n); the witness
+    is the least tied family, whatever order the traversal meets it in."""
     if config.naive:
         return phi_naive(config.n, config.m_max)
     n = config.n
@@ -347,14 +350,8 @@ def phi_search(config: SearchConfig) -> SearchResult:
     incumbent, _ = beta(n)
     fallback = renaud_family(n)
     t = incumbent - 1
-
-    # Up to relabeling, the smallest non-empty member is a prefix block.
-    blocks = [(1 << j) - 1 for j in range(1, t + 1)]
-    results = [_branch_enumerate(t, t, b, n) for b in blocks]
-
-    visited = sum(r[0] for r in results)
-    violations = sum(r[1] for r in results)
-    improving = [item for r in results for item in r[2]]
+    branch_nodes, violations, improving = _branch_enumerate(t, t, n)
+    visited = sum(branch_nodes)
     duration = time.perf_counter() - start
     if not improving:
         return SearchResult(incumbent, fallback, visited, duration, violations)

@@ -195,18 +195,31 @@ def _branch_reference(t, m_cap, first_mask, n, rule=True):
 )
 def test_branch_enumerate_matches_the_rescanning_reference(t, m_cap):
     # inherited candidate lists and classes refined by the added sets visit
-    # the same tree, task by task, as columns rebuilt at every node; and the
-    # rule loses no isomorphism class of the rule-free traversal
-    for j in range(1, m_cap + 1):
-        for n in range(2, 13):
-            nodes, violations, found = _branch_enumerate(t, m_cap, (1 << j) - 1, n)
-            assert (nodes, violations, sorted(found)) == _branch_reference(
-                t, m_cap, (1 << j) - 1, n
-            ), (j, n)
-            free = _branch_reference(t, m_cap, (1 << j) - 1, n, rule=False)[2]
-            assert {_canonical_form(sets, m_cap)[0] for _, sets in found} == {
-                _canonical_form(sets, m_cap)[0] for _, sets in free
-            }, (j, n)
+    # the same tree as columns rebuilt at every node; the reference roots
+    # one traversal at each prefix block, so the equal-column rule at the
+    # empty family lets exactly those blocks through, in their order; and
+    # the rule loses no isomorphism class of the rule-free traversal
+    blocks = [(1 << j) - 1 for j in range(1, m_cap + 1)]
+    for n in range(1, 13):
+        branch_nodes, violations, found = _branch_enumerate(t, m_cap, n)
+        per_block = [_branch_reference(t, m_cap, b, n) for b in blocks]
+        assert branch_nodes == [nodes for nodes, _, _ in per_block], n
+        assert violations == sum(v for _, v, _ in per_block), n
+        assert sorted(found) == sorted(f for _, _, fs in per_block for f in fs), n
+        free = [f for b in blocks for f in _branch_reference(t, m_cap, b, n, rule=False)[2]]
+        assert {_canonical_form(sets, m_cap)[0] for _, sets in found} == {
+            _canonical_form(sets, m_cap)[0] for _, sets in free
+        }, n
+
+
+def test_the_empty_root_is_neither_counted_nor_recorded():
+    # at n = 1 the empty family has n - 1 sets, yet no (0,) family is
+    # recorded and no violation counted; at t = 0 every mask fails the cap,
+    # so only the root is left and the search visits no node
+    _, violations, found = _branch_enumerate(2, 2, 1)
+    assert (violations, found) == (0, [(1, (1,)), (1, (3,))])
+    assert _branch_enumerate(0, 0, 2) == ([], 0, [])
+    assert _branch_enumerate(0, 2, 2) == ([0, 0], 0, [])
 
 
 def test_phi_naive_scale_guard():
@@ -284,12 +297,12 @@ def test_phi_search_no_conjecture_violations():
 
 
 def test_phi_search_visited_pinned():
-    # node counts do not depend on the schedule; a change here must be
-    # explained by a change to the enumeration. The traversal prunes by the
-    # frequency cap t alone and cuts by the equal-column rule, which reads
-    # only the node's members, so visited depends on (t, m_cap) and not on n
-    # (n = 6, 7, 8 share t = 3); one traversal per root records both the
-    # ∅-free and the ∅-holding families, so there is no second run per root.
+    # a change here must be explained by a change to the enumeration. The
+    # traversal prunes by the frequency cap t alone and cuts by the
+    # equal-column rule, which reads only the node's members, so visited
+    # depends on (t, m_cap) and not on n (n = 6, 7, 8 share t = 3); the one
+    # traversal records both the ∅-free and the ∅-holding families, so
+    # there is no second run.
     expected = {2: 0, 3: 1, 4: 1, 5: 4, 6: 13, 7: 13, 8: 13, 9: 66, 10: 425}
     for n, visited in expected.items():
         assert phi_search(SearchConfig(n)).visited == visited, n
@@ -300,10 +313,10 @@ def test_traversal_nodes_per_prefix_block_at_t7():
     # of 13 sets has every frequency <= 7, so phi(13) = 8 = beta(13), and
     # phi(13..16) = 8 since phi is non-decreasing and beta(16) = 8; the
     # node counts do not depend on n
-    blocks = [_branch_enumerate(7, 7, (1 << j) - 1, 13) for j in range(1, 8)]
-    assert [nodes for nodes, _, _ in blocks] == [19264, 15179, 7687, 2364, 261, 8, 1]
-    assert sum(nodes for nodes, _, _ in blocks) == 44764
-    assert all(violations == 0 and not found for _, violations, found in blocks)
+    branch_nodes, violations, found = _branch_enumerate(7, 7, 13)
+    assert branch_nodes == [19264, 15179, 7687, 2364, 261, 8, 1]
+    assert sum(branch_nodes) == 44764
+    assert violations == 0 and not found
     assert beta(13)[0] == beta(16)[0] == 8
 
 
@@ -367,12 +380,9 @@ def _canonical_form(sets, m):
 
 
 def _search_families(n, t, m_cap):
-    # one traversal per prefix block, as phi_search schedules them;
-    # (largest frequency, members) of each recorded family
-    found = []
-    for j in range(1, m_cap + 1):
-        found += _branch_enumerate(t, m_cap, (1 << j) - 1, n)[2]
-    return found
+    # the one traversal phi_search runs; (largest frequency, members) of
+    # each recorded family
+    return _branch_enumerate(t, m_cap, n)[2]
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -471,26 +481,26 @@ MOORE_CLASSES = [1, 2, 5, 19, 184, 14664]
 )
 def test_uncapped_traversal_counts_the_moore_families(m, count):
     # An oracle from outside the code: with the cap off (t = 2^m) nothing is
-    # pruned, so the prefix-block roots reach every ∅-free union-closed
-    # family on [m] up to relabeling. Complements map those one-to-one onto
-    # the Moore families on [m] other than {[m]} (∅ is added back, and the
-    # empty family maps to {[m]}). So the orbits m!/|Aut| of the distinct
-    # classes sum to A102896(m) - 1 = 2 - 1, 7 - 1, 61 - 1, 2480 - 1,
-    # 1385552 - 1 (OEIS A102896; Colomb, Irlande and Raynaud, "Counting of
-    # Moore families for n=7", ICFCA 2010), and the classes number one less
-    # than the Moore families up to isomorphism (MOORE_CLASSES). Only the
-    # prefix-block roots run, as in phi_search, so no other root can stand
-    # in for a class the rule loses. A run records the nodes of n sets and,
+    # pruned, so the traversal reaches every ∅-free union-closed family on
+    # [m] up to relabeling. Complements map those one-to-one onto the Moore
+    # families on [m] other than {[m]} (∅ is added back, and the empty
+    # family maps to {[m]}). So the orbits m!/|Aut| of the distinct classes
+    # sum to A102896(m) - 1 = 2 - 1, 7 - 1, 61 - 1, 2480 - 1, 1385552 - 1
+    # (OEIS A102896; Colomb, Irlande and Raynaud, "Counting of Moore
+    # families for n=7", ICFCA 2010), and the classes number one less than
+    # the Moore families up to isomorphism (MOORE_CLASSES). The traversal
+    # runs from the empty family, as in phi_search, where the rule lets
+    # only the prefix blocks through, so no other first member can stand in
+    # for a class the rule loses. A run records the nodes of n sets and,
     # with ∅ added, of n - 1 sets, so the even n from 2 to 2^m record every
     # node once.
     t = 1 << m
     forms = {}
     for n in range(2, t + 1, 2):
-        for j in range(1, m + 1):
-            for _, sets in _branch_enumerate(t, m, (1 << j) - 1, n)[2]:
-                sets = sets[1:] if sets[0] == 0 else sets
-                form, automorphisms = _canonical_form(sets, m)
-                forms[form] = automorphisms
+        for _, sets in _branch_enumerate(t, m, n)[2]:
+            sets = sets[1:] if sets[0] == 0 else sets
+            form, automorphisms = _canonical_form(sets, m)
+            forms[form] = automorphisms
     assert sum(factorial(m) // a for a in forms.values()) == count
     assert len(forms) + 1 == MOORE_CLASSES[m]
 
@@ -539,7 +549,7 @@ def test_branch_budget_error_for_every_n(monkeypatch, n):
     # B(n) exists only from n = 2; below that the error carries no witness
     monkeypatch.setattr(phisearch, "NODE_BUDGET", 1)
     with pytest.raises(SearchBudgetError) as err:
-        _branch_enumerate(4, 2, 1, n)
+        _branch_enumerate(4, 2, n)
     exc = err.value
     assert (exc.n, exc.incumbent, exc.visited) == (n, 5, 2)
     assert exc.witness == (renaud_family(n) if n >= 2 else None)
