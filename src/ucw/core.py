@@ -14,6 +14,8 @@ deterministic, so a thread race only computes one of them twice.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby, pairwise, starmap
+from operator import lt
 
 MAX_UNIVERSE = 64
 
@@ -56,6 +58,20 @@ def _check_universe(m: int) -> None:
         raise CapacityError(f"universe size must be in 1..{MAX_UNIVERSE}, got {m}")
 
 
+def _in_range_and_canonical(sets, limit: int) -> bool:
+    """True iff every mask is in [0, limit) and the masks strictly ascend in
+    canonical order. Python loops only over the runs of equal cardinality,
+    at most 65; the masks inside a run are compared pairwise in C."""
+    if sets and not (min(sets) >= 0 and max(sets) < limit):
+        return False
+    prev_count = -1
+    for count, run in groupby(sets, int.bit_count):
+        if count <= prev_count or not all(starmap(lt, pairwise(run))):
+            return False
+        prev_count = count
+    return True
+
+
 # _BIT_DIGITS[k] maps a byte to b"1" if its bit k is set, else to b"0"
 _BIT_DIGITS = [
     bytes.maketrans(bytes(range(256)), bytes(48 + (b >> k & 1) for b in range(256)))
@@ -77,6 +93,9 @@ class Family:
     def __post_init__(self):
         _check_universe(self.m)
         limit = 1 << self.m
+        if _in_range_and_canonical(self.sets, limit):
+            return
+        # the first offending set decides the error
         prev_key = None
         for s in self.sets:
             if not 0 <= s < limit:
@@ -91,7 +110,8 @@ class Family:
     @classmethod
     def from_sets(cls, m: int, sets) -> "Family":
         """Build a family from any iterable of masks; dedups and sorts."""
-        return cls(m, tuple(sorted(set(sets), key=canonical_key)))
+        # by value, then stably by cardinality: canonical order
+        return cls(m, tuple(sorted(sorted(set(sets)), key=int.bit_count)))
 
     @classmethod
     def from_lists(cls, m: int, lists) -> "Family":

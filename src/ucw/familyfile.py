@@ -13,9 +13,11 @@ Line 1 is the format+version header, line 2 the universe size (1..64).
 Each remaining line is one member set: ``-`` for the empty set, otherwise
 strictly increasing elements of 1..m separated by single spaces. Numbers
 are ASCII decimal digits only (``[0-9]+``), so a sign, a space, ``_``, a
-non-ASCII digit or a trailing ``\r`` is rejected. Duplicate sets are
-rejected. Parsing always yields a canonically ordered family, so
-``parse(serialize(f)) == f`` and serializing a parse canonicalizes the input.
+non-ASCII digit or a trailing ``\r`` is rejected. Leading zeros are
+accepted: ``01 3`` is the set {1, 3}. Duplicate sets are rejected, also
+when their lines differ only in leading zeros. Parsing always yields a
+canonically ordered family, so ``parse(serialize(f)) == f`` and serializing
+a parse canonicalizes the input.
 """
 
 import re
@@ -58,6 +60,32 @@ def _numbers(text: str) -> list[int] | None:
         return None
 
 
+def _line_mask(line: str, line_no: int, m: int) -> int:
+    """The mask of one set line, read element by element; raises the line's
+    FamilyParseError. This reader decides every line the token table in
+    :func:`parse_family` does not accept: ``-``, leading zeros, and every
+    malformed line."""
+    elements = [] if line == "-" else _numbers(line)
+    if elements is None:
+        raise FamilyParseError(BAD_SET_LINE, f"bad set line {line!r}", line_no)
+    mask = 0
+    prev = 0
+    for e in elements:
+        if e <= prev:
+            raise FamilyParseError(
+                ELEMENT_ORDER,
+                f"elements must be strictly increasing, got {e} after {prev}",
+                line_no,
+            )
+        if e > m:
+            raise FamilyParseError(
+                ELEMENT_OUT_OF_RANGE, f"element {e} > m={m}", line_no
+            )
+        mask |= 1 << (e - 1)
+        prev = e
+    return mask
+
+
 def parse_family(text: str) -> Family:
     """Parse a family document; raises FamilyParseError with a stable code."""
     lines = [
@@ -81,26 +109,19 @@ def parse_family(text: str) -> Family:
     if not 1 <= m <= MAX_UNIVERSE:
         raise FamilyParseError(M_OUT_OF_RANGE, f"m must be in 1..{MAX_UNIVERSE}, got {m}", 2)
 
+    # the bit of each element's canonical token; a line it cannot read whole,
+    # or whose bits are out of order or repeated, goes to the strict reader
+    token_bit = {str(e): 1 << (e - 1) for e in range(1, m + 1)}.__getitem__
     seen: set[int] = set()
     for line_no, line in lines[2:]:
-        elements = [] if line == "-" else _numbers(line)
-        if elements is None:
-            raise FamilyParseError(BAD_SET_LINE, f"bad set line {line!r}", line_no)
-        mask = 0
-        prev = 0
-        for e in elements:
-            if e <= prev:
-                raise FamilyParseError(
-                    ELEMENT_ORDER,
-                    f"elements must be strictly increasing, got {e} after {prev}",
-                    line_no,
-                )
-            if e > m:
-                raise FamilyParseError(
-                    ELEMENT_OUT_OF_RANGE, f"element {e} > m={m}", line_no
-                )
-            mask |= 1 << (e - 1)
-            prev = e
+        try:
+            bits = list(map(token_bit, line.split(" ")))
+        except KeyError:
+            bits = []
+        mask = sum(bits)
+        # ascending bits whose sum carries nothing are strictly increasing elements
+        if not bits or bits != sorted(bits) or mask.bit_count() != len(bits):
+            mask = _line_mask(line, line_no, m)
         if mask in seen:
             raise FamilyParseError(DUPLICATE_SET, f"set {line!r} repeated", line_no)
         seen.add(mask)

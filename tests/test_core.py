@@ -63,6 +63,56 @@ def test_family_canonical_order():
         Family(65, ())
 
 
+def test_family_first_offending_set_decides_the_error():
+    # 0b01 breaks the order before 0b100 leaves the universe
+    with pytest.raises(DomainError):
+        Family(2, (0b11, 0b01, 0b100))
+    with pytest.raises(CapacityError):
+        Family(2, (0b01, 0b100, 0b00))
+    with pytest.raises(CapacityError):
+        Family(2, (0b00, -1))
+    with pytest.raises(DomainError):
+        Family(2, (0b01, 0b01))  # duplicated
+
+
+def _first_error(m, sets):
+    """The error class a member-by-member check meets first, or None."""
+    prev = None
+    for s in sets:
+        if not 0 <= s < 1 << m:
+            return CapacityError
+        key = (s.bit_count(), s)
+        if prev is not None and key <= prev:
+            return DomainError
+        prev = key
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(min_value=1, max_value=64), data=st.data())
+def test_family_checks_match_member_by_member_reference(m, data):
+    masks = data.draw(st.sets(st.integers(min_value=0, max_value=(1 << m) - 1), max_size=12))
+    sets = sorted(masks, key=lambda s: (s.bit_count(), s))
+    assert Family.from_sets(m, masks).sets == tuple(sets)
+    # break the canonical family at most twice: swap two members, repeat
+    # one, or put a mask outside [0, 2^m) somewhere
+    for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+        i = data.draw(st.integers(min_value=0, max_value=len(sets)))
+        kind = data.draw(st.sampled_from(["swap", "repeat", "outside"]))
+        if kind == "outside":
+            sets.insert(i, data.draw(st.sampled_from([-1, 1 << m, (1 << m) + 1, 1 << 70])))
+        elif kind == "repeat" and i < len(sets):
+            sets.insert(i, sets[i])
+        elif kind == "swap" and i + 1 < len(sets):
+            sets[i], sets[i + 1] = sets[i + 1], sets[i]
+    want = _first_error(m, sets)
+    if want is None:
+        assert Family(m, tuple(sets)).sets == tuple(sets)
+    else:
+        with pytest.raises(want):
+            Family(m, tuple(sets))
+
+
 @settings(max_examples=200, deadline=None)
 @given(m=st.integers(min_value=1, max_value=64), data=st.data())
 def test_family_contains_matches_set_membership(m, data):
