@@ -192,15 +192,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_search_phi(args) -> int:
     result = phi_search(SearchConfig(args.n, m_max=args.m_max, naive=args.naive))
-    pairs = [
+    # the file first, so a path that cannot be written leaves no report
+    if args.output:
+        familyfile.save_family(args.output, result.witness)
+    _emit(sys.stdout, [
         ("phi", result.phi),
         ("visited", result.visited),
         ("conjecture_violations", result.conjecture_violations),
-    ]
-    _emit(sys.stdout, pairs)
-    if args.output:
-        familyfile.save_family(args.output, result.witness)
-    else:
+    ])
+    if not args.output:
         sys.stdout.write(familyfile.serialize_family(result.witness))
     return 0
 

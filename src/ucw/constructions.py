@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    MAX_MATERIALIZED_UNIVERSE,
     MAX_UNIVERSE,
     CapacityError,
     DomainError,
@@ -301,8 +302,8 @@ def hole_levels(params: BlockUpsetParams) -> range:
 
 def _block_family(s: int, k: int) -> Family:
     m = s * k + 1
-    if m > 24:
-        raise CapacityError("materialization capped at sk+1 <= 24")
+    if m > MAX_MATERIALIZED_UNIVERSE:
+        raise CapacityError(f"materialization capped at sk+1 <= {MAX_MATERIALIZED_UNIVERSE}")
     upper = up_set(_block_generators(s, k), m)
     sets = list(range(1 << (s * k))) + list(upper.sets)
     return Family.from_sets(m, sets)

@@ -18,6 +18,8 @@ from itertools import groupby, pairwise, starmap
 from operator import lt
 
 MAX_UNIVERSE = 64
+# the largest universe over which a power set or block family is built whole
+MAX_MATERIALIZED_UNIVERSE = 24
 
 SetMask = int
 
@@ -173,7 +175,7 @@ class Family:
 def power_set_family(m: int) -> Family:
     """All 2^m subsets of [m] as a family."""
     _check_universe(m)
-    if m > 24:
+    if m > MAX_MATERIALIZED_UNIVERSE:
         raise CapacityError(f"refusing to materialize 2^{m} sets")
     return Family.from_sets(m, range(1 << m))
 

@@ -1,6 +1,6 @@
 """Plain-text interchange format for set families.
 
-Document layout (7-bit text, LF-terminated lines)::
+Document layout (7-bit text, LF-separated lines)::
 
     ucs 1
     m=5
@@ -9,15 +9,18 @@ Document layout (7-bit text, LF-terminated lines)::
     1 2
     # comment lines are ignored anywhere
 
-Line 1 is the format+version header, line 2 the universe size (1..64).
-Each remaining line is one member set: ``-`` for the empty set, otherwise
-strictly increasing elements of 1..m separated by single spaces. Numbers
-are ASCII decimal digits only (``[0-9]+``), so a sign, a space, ``_``, a
-non-ASCII digit or a trailing ``\r`` is rejected. Leading zeros are
-accepted: ``01 3`` is the set {1, 3}. Duplicate sets are rejected, also
-when their lines differ only in leading zeros. Parsing always yields a
-canonically ordered family, so ``parse(serialize(f)) == f`` and serializing
-a parse canonicalizes the input.
+Lines count from 1, comment lines (starting with ``#``) included, and error
+line numbers count them; the final LF is optional. The first two non-comment
+lines are the format+version header and the universe size m (1..64). Every
+later non-comment line is one member set: ``-`` for the empty set, else
+strictly increasing elements of 1..m joined by single spaces, each checked
+for order before range; so a blank line is a malformed set line anywhere.
+Numbers are ASCII decimal digits only (``[0-9]+``), so a sign, a space, ``_``,
+a non-ASCII digit or a trailing ``\r`` is rejected; leading zeros are
+accepted (``01 3`` is {1, 3}). Duplicate sets are rejected, also when their
+lines differ only in leading zeros. Parsing always yields a canonically
+ordered family, so ``parse(serialize(f)) == f`` and serializing a parse
+canonicalizes the input.
 """
 
 import re
@@ -88,32 +91,27 @@ def _line_mask(line: str, line_no: int, m: int) -> int:
 
 def parse_family(text: str) -> Family:
     """Parse a family document; raises FamilyParseError with a stable code."""
-    lines = [
-        (i + 1, line)
-        for i, line in enumerate(text.split("\n"))
-        if not line.startswith("#")
-    ]
-    # a trailing newline produces one empty trailing entry; drop it
-    if lines and lines[-1][1] == "":
-        lines.pop()
-    if not lines or lines[0][1] != HEADER:
-        got = lines[0][1] if lines else "<empty>"
-        raise FamilyParseError(BAD_HEADER, f"expected {HEADER!r}, got {got!r}", 1)
-    if len(lines) < 2 or not lines[1][1].startswith("m="):
-        raise FamilyParseError(BAD_HEADER, "expected 'm=<int>' on line 2", 2)
-    m_text = lines[1][1][2:]
-    m_value = _numbers(m_text)
+    rows = text.split("\n")
+    # a final LF leaves one empty entry after it, which is no line
+    if rows[-1] == "":
+        rows.pop()
+    lines = ((no, line) for no, line in enumerate(rows, 1) if not line.startswith("#"))
+    line_no, line = next(lines, (1, "<empty>"))
+    if line != HEADER:
+        raise FamilyParseError(BAD_HEADER, f"expected {HEADER!r}, got {line!r}", line_no)
+    line_no, line = next(lines, (line_no + 1, ""))
+    m_value = _numbers(line[2:]) if line.startswith("m=") else None
     if m_value is None or len(m_value) != 1:
-        raise FamilyParseError(BAD_HEADER, f"bad universe size {m_text!r}", 2)
+        raise FamilyParseError(BAD_HEADER, f"expected 'm=<int>', got {line!r}", line_no)
     m = m_value[0]
     if not 1 <= m <= MAX_UNIVERSE:
-        raise FamilyParseError(M_OUT_OF_RANGE, f"m must be in 1..{MAX_UNIVERSE}, got {m}", 2)
+        raise FamilyParseError(M_OUT_OF_RANGE, f"m must be in 1..{MAX_UNIVERSE}, got {m}", line_no)
 
     # the bit of each element's canonical token; a line it cannot read whole,
     # or whose bits are out of order or repeated, goes to the strict reader
     token_bit = {str(e): 1 << (e - 1) for e in range(1, m + 1)}.__getitem__
     seen: set[int] = set()
-    for line_no, line in lines[2:]:
+    for line_no, line in lines:
         try:
             bits = list(map(token_bit, line.split(" ")))
         except KeyError:

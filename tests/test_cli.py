@@ -316,6 +316,32 @@ def test_search_phi_naive(capsys):
     assert len(witness) == 3 and max_frequency(witness)[1] == 2
 
 
+def test_search_phi_output_file(capsys, tmp_path):
+    # with -o the witness goes to the file and stdout keeps the report alone
+    target = tmp_path / "witness.ucs"
+    code, out, err = run_cli(capsys, "search", "phi", "-n", "5", "-o", str(target))
+    pinned = (GOLDEN / "search" / "phi-5.out").read_text()
+    cut = pinned.index("ucs 1")
+    assert (code, out, err) == (0, pinned[:cut], "")
+    assert target.read_text() == pinned[cut:]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "phi", "-n", "5"],
+        ["gen", "renaud", "-n", "23"],
+        ["gen", "block-upset", "-s", "3", "-k", "2"],
+        ["gen", "pad", "-c", "5/2", "-i", str(GOLDEN / "b23.ucs")],
+    ],
+    ids=["search-phi", "gen-renaud", "gen-block-upset", "gen-pad"],
+)
+def test_output_under_missing_directory_exit_2_before_any_report(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv, "-o", str(tmp_path / "missing" / "out.ucs"))
+    assert (code, out) == (2, "")
+    assert err.startswith("io error: ")
+
+
 SEARCH_CASES = (
     [(f"phi-{n}", ["-n", str(n)]) for n in range(1, 11)]
     + [(f"naive-{n}", ["-n", str(n), "--naive"]) for n in range(1, 6)]

@@ -1,4 +1,5 @@
 import re
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +133,14 @@ def test_parse_accepts_leading_zeros(text, sets):
         ("ucs 1\nm=3\n1 2\n# 1 2\n1 02\n", DUPLICATE_SET, 5),
         ("ucs 1\nm=3\n3\n1 3 2\n", ELEMENT_ORDER, 4),
         ("ucs 1\nm=3\n1 4\n", ELEMENT_OUT_OF_RANGE, 3),
+        # a blank line stays a set line when only comments follow it
+        ("ucs 1\nm=2\n1\n\n# c", BAD_SET_LINE, 4),
+        ("ucs 1\nm=2\n\n# c", BAD_SET_LINE, 3),
+        # header lines are numbered like set lines, comments counted
+        ("# c\nucs 2\nm=2\n1\n", BAD_HEADER, 2),
+        ("# x\nucs 1\n# y\nm=x\n1\n", BAD_HEADER, 4),
+        ("# x\nucs 1\n# y", BAD_HEADER, 3),
+        ("", BAD_HEADER, 1),
     ],
 )
 def test_parse_error_line_numbers(text, code, line_no):
@@ -155,21 +164,20 @@ def _reference_parse(text):
         except ValueError:
             return None
 
-    lines = [(i + 1, line) for i, line in enumerate(text.split("\n")) if not line.startswith("#")]
-    if lines and lines[-1][1] == "":
-        lines.pop()
+    # the empty entry after a final LF is dropped from the raw split, before
+    # comments are, so a blank line followed only by comments stays a line
+    rows = text[:-1].split("\n") if text.endswith("\n") else text.split("\n")
+    lines = [(i + 1, line) for i, line in enumerate(rows) if not line.startswith("#")]
     if not lines or lines[0][1] != "ucs 1":
-        got = lines[0][1] if lines else "<empty>"
-        raise FamilyParseError(BAD_HEADER, f"expected {'ucs 1'!r}, got {got!r}", 1)
-    if len(lines) < 2 or not lines[1][1].startswith("m="):
-        raise FamilyParseError(BAD_HEADER, "expected 'm=<int>' on line 2", 2)
-    m_text = lines[1][1][2:]
-    m_value = numbers(m_text)
+        no, got = lines[0] if lines else (1, "<empty>")
+        raise FamilyParseError(BAD_HEADER, f"expected {'ucs 1'!r}, got {got!r}", no)
+    m_no, m_line = lines[1] if len(lines) > 1 else (lines[0][0] + 1, "")
+    m_value = numbers(m_line[2:]) if m_line.startswith("m=") else None
     if m_value is None or len(m_value) != 1:
-        raise FamilyParseError(BAD_HEADER, f"bad universe size {m_text!r}", 2)
+        raise FamilyParseError(BAD_HEADER, f"expected 'm=<int>', got {m_line!r}", m_no)
     m = m_value[0]
     if not 1 <= m <= MAX_UNIVERSE:
-        raise FamilyParseError(M_OUT_OF_RANGE, f"m must be in 1..{MAX_UNIVERSE}, got {m}", 2)
+        raise FamilyParseError(M_OUT_OF_RANGE, f"m must be in 1..{MAX_UNIVERSE}, got {m}", m_no)
     seen = set()
     for line_no, line in lines[2:]:
         elements = [] if line == "-" else numbers(line)
@@ -253,3 +261,61 @@ def test_parse_matches_element_by_element_reference(m, data):
     text = "\n".join(["ucs 1", f"m={m}", *lines]) + data.draw(st.sampled_from(["\n", ""]))
     want = _outcome(_reference_parse, text)
     assert _outcome(parse_family, text) == want
+
+
+def _grammar_outcome(text):
+    """What the module docstring's grammar makes of ``text``: a Family, or
+    the ``(code, line_no)`` of the first rule it breaks."""
+    rows = text.split("\n")
+    if text.endswith("\n"):
+        del rows[-1]  # the final LF ends the last line; it starts none
+    numbered = [(no, row) for no, row in enumerate(rows, 1) if row[:1] != "#"]
+    if not numbered or numbered[0][1] != "ucs 1":
+        return (BAD_HEADER, numbered[0][0] if numbered else 1)
+    if len(numbered) < 2:
+        return (BAD_HEADER, numbered[0][0] + 1)
+    no, row = numbered[1]
+    digits = row[2:]
+    if row[:2] != "m=" or not (digits.isascii() and digits.isdigit()):
+        return (BAD_HEADER, no)
+    m = int(digits)
+    if not 1 <= m <= 64:
+        return (M_OUT_OF_RANGE, no)
+    masks = set()
+    for no, row in numbered[2:]:
+        tokens = [] if row == "-" else row.split(" ")
+        if not all(t.isascii() and t.isdigit() for t in tokens):
+            return (BAD_SET_LINE, no)
+        mask, prev = 0, 0
+        for e in map(int, tokens):
+            if e <= prev:
+                return (ELEMENT_ORDER, no)
+            if e > m:
+                return (ELEMENT_OUT_OF_RANGE, no)
+            mask, prev = mask | 1 << (e - 1), e
+        if mask in masks:
+            return (DUPLICATE_SET, no)
+        masks.add(mask)
+    if not masks:
+        return (EMPTY_BODY, None)
+    return Family.from_sets(m, masks)
+
+
+_ROWS = ["ucs 1", "m=2", "1", "2", "1 2", "2 1", "3", "01", "-", "", "# c"]
+
+
+def test_parse_matches_grammar_on_every_short_document():
+    # every document of at most five rows over _ROWS, with and without a
+    # final LF: 354,312 documents
+    mismatches = []
+    for k in range(6):
+        for rows in product(_ROWS, repeat=k):
+            body = "\n".join(rows)
+            for text in (body, body + "\n"):
+                try:
+                    got = parse_family(text)
+                except FamilyParseError as err:
+                    got = (err.code, err.line_no)
+                if got != _grammar_outcome(text):
+                    mismatches.append(text)
+    assert mismatches == []
