@@ -52,7 +52,6 @@ from .core import (
 from .familyfile import FamilyParseError, parse_family, serialize_family
 from .phisearch import (
     PhiTableRow,
-    SearchBudgetError,
     SearchConfig,
     SearchResult,
     phi_naive,

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from . import constructions as cons
 from . import core, familyfile, structure
-from .phisearch import SearchBudgetError, SearchConfig, phi_search
+from .phisearch import SearchConfig, phi_search
 
 
 def _bool(value: bool) -> str:
@@ -289,7 +289,7 @@ def main(argv=None) -> int:
     except familyfile.FamilyParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, SearchBudgetError) as exc:  # DomainError, CapacityError too
+    except ValueError as exc:  # DomainError, CapacityError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -73,7 +73,7 @@ import time
 from dataclasses import dataclass
 
 from .constructions import beta, conway, renaud_family
-from .core import DomainError, Family, canonical_key
+from .core import CapacityError, DomainError, Family, canonical_key
 
 PHI_SEARCH_MAX_N = 12
 PHI_NAIVE_MAX_N = 6
@@ -103,19 +103,6 @@ class SearchResult:
     visited: int
     duration: float
     conjecture_violations: int = 0
-
-
-class SearchBudgetError(RuntimeError):
-    """Node budget exhausted; carries the constructive incumbent."""
-
-    def __init__(self, n: int, incumbent: int, witness: Family | None, visited: int):
-        super().__init__(
-            f"search budget exceeded at n={n}; phi({n}) <= {incumbent} stands"
-        )
-        self.n = n
-        self.incumbent = incumbent
-        self.witness = witness
-        self.visited = visited
 
 
 def _least_family(m: int, pool) -> Family:
@@ -250,9 +237,9 @@ def _branch_enumerate(t: int, m_cap: int, n: int):
     counts the nodes whose least member is the block [j]. As the module
     docstring shows, the tree reaches every family up to relabeling, its
     tuple-least relabeling always, so the nodes and violations count class
-    representatives. A search that passes ``NODE_BUDGET`` nodes raises a
-    budget error carrying B(n) (``None`` for n < 2, where B(n) is
-    undefined).
+    representatives. A search that passes ``NODE_BUDGET`` nodes raises
+    :class:`CapacityError` naming n and the bound t + 1 that stands; it
+    builds no family.
     """
     budget = NODE_BUDGET
     # element counts packed `width` bits per element, each field biased so
@@ -291,10 +278,9 @@ def _branch_enumerate(t: int, m_cap: int, n: int):
         if size and (n - 1 <= size <= n or half > t or not (packed + lift[half]) & over):
             top_count = max(packed >> shift & field for shift in shifts) - bias
             violations += (2 * top_count < size) + (2 * top_count < size + 1)
-            if size == n:
-                found.append((top_count, tuple(sorted(fam, key=canonical_key))))
-            elif size == n - 1:
-                found.append((top_count, (0,) + tuple(sorted(fam, key=canonical_key))))
+            if n - 1 <= size <= n:  # a node of n-1 sets takes ∅ in front
+                members = tuple(sorted(fam, key=canonical_key))
+                found.append((top_count, (0,) * (n - size) + members))
         candidates = []
         for z, new, _ in later:
             if z in added:
@@ -321,8 +307,8 @@ def _branch_enumerate(t: int, m_cap: int, n: int):
             else:
                 nodes += 1
                 if nodes > budget:
-                    raise SearchBudgetError(
-                        n, t + 1, renaud_family(n) if n >= 2 else None, nodes
+                    raise CapacityError(
+                        f"search budget exceeded at n={n}; phi({n}) <= {t + 1} stands"
                     )
                 dfs(fam | new, z_packed, new, candidates[i + 1 :], classes)
                 if not fam:  # the root: prefix block z's branch is done
@@ -334,8 +320,9 @@ def _branch_enumerate(t: int, m_cap: int, n: int):
 
 
 def phi_search(config: SearchConfig) -> SearchResult:
-    """Exact phi(n) for n <= 12 by one traversal below beta(n); the witness
-    is the least tied family, whatever order the traversal meets it in."""
+    """Exact phi(n) for n <= ``PHI_SEARCH_MAX_N`` by one traversal below
+    beta(n); the witness is the least tied family, whatever order the
+    traversal meets it in, or B(n) when the traversal finds none."""
     if config.naive:
         return phi_naive(config.n, config.m_max)
     n = config.n
@@ -347,17 +334,16 @@ def phi_search(config: SearchConfig) -> SearchResult:
     start = time.perf_counter()
     if n == 1:
         return SearchResult(1, Family(1, (1,)), 1, time.perf_counter() - start)
-    incumbent, _ = beta(n)
-    fallback = renaud_family(n)
-    t = incumbent - 1
+    value, _ = beta(n)
+    witness = renaud_family(n)
+    t = value - 1
     branch_nodes, violations, improving = _branch_enumerate(t, t, n)
-    visited = sum(branch_nodes)
-    duration = time.perf_counter() - start
-    if not improving:
-        return SearchResult(incumbent, fallback, visited, duration, violations)
-    value = min(v for v, _ in improving)
-    witness = _least_family(t, [sets for v, sets in improving if v == value])
-    return SearchResult(value, witness, visited, duration, violations)
+    if improving:
+        value = min(v for v, _ in improving)
+        witness = _least_family(t, [sets for v, sets in improving if v == value])
+    return SearchResult(
+        value, witness, sum(branch_nodes), time.perf_counter() - start, violations
+    )
 
 
 @dataclass(frozen=True)

@@ -381,6 +381,15 @@ def test_search_phi_m_max_without_naive_exit_2(capsys, n, m):
     )
 
 
+def test_search_phi_past_the_node_budget_exit_2(capsys, monkeypatch):
+    # the node budget refuses like every other cap: one error line, exit 2,
+    # and the bound beta(9) = 5 still standing
+    monkeypatch.setattr("ucw.phisearch.NODE_BUDGET", 10)
+    code, out, err = run_cli(capsys, "search", "phi", "-n", "9")
+    assert (code, out) == (2, "")
+    assert err == "error: search budget exceeded at n=9; phi(9) <= 5 stands\n"
+
+
 def test_domain_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "gen", "beta", "-n", "1")
     assert code == 2 and "error" in err

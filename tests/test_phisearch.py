@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ucw import phisearch
 from ucw.constructions import beta, conway, renaud_family
 from ucw.core import (
+    CapacityError,
     DomainError,
     Family,
     canonical_key,
@@ -21,7 +22,6 @@ from ucw.core import (
 )
 from ucw.familyfile import parse_family, serialize_family
 from ucw.phisearch import (
-    SearchBudgetError,
     SearchConfig,
     SearchResult,
     _branch_enumerate,
@@ -536,23 +536,18 @@ def test_phi_search_scale_guard():
 
 def test_phi_search_budget_error_carries_incumbent(monkeypatch):
     monkeypatch.setattr(phisearch, "NODE_BUDGET", 10)
-    with pytest.raises(SearchBudgetError) as err:
+    with pytest.raises(CapacityError) as err:
         phi_search(SearchConfig(9))
-    exc = err.value
-    assert exc.incumbent == A[8]
-    assert len(exc.witness) == 9
-    assert max_frequency(exc.witness)[1] == exc.incumbent
+    assert str(err.value) == f"search budget exceeded at n=9; phi(9) <= {A[8]} stands"
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 9])
 def test_branch_budget_error_for_every_n(monkeypatch, n):
-    # B(n) exists only from n = 2; below that the error carries no witness
+    # the refusal names n and t + 1 and builds no B(n), so n < 2 reads alike
     monkeypatch.setattr(phisearch, "NODE_BUDGET", 1)
-    with pytest.raises(SearchBudgetError) as err:
+    with pytest.raises(CapacityError) as err:
         _branch_enumerate(4, 2, n)
-    exc = err.value
-    assert (exc.n, exc.incumbent, exc.visited) == (n, 5, 2)
-    assert exc.witness == (renaud_family(n) if n >= 2 else None)
+    assert str(err.value) == f"search budget exceeded at n={n}; phi({n}) <= 5 stands"
 
 
 def test_verify_phi_table():
@@ -572,7 +567,7 @@ def test_phi_search_config_naive_route():
 
 
 def test_phi_upper_bound_seed_at_23():
-    # n=23 is beyond the search budget, but the constructive family the
+    # n=23 is past PHI_SEARCH_MAX_N, but the constructive family the
     # search would seed its bound from pins phi(23) <= 13
     assert max_frequency(renaud_family(23))[1] == 13
 
