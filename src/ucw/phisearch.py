@@ -134,6 +134,26 @@ def phi_naive(n: int, m_max: int | None = None) -> SearchResult:
     children up to the owed union p, or the top - lo children when nothing
     is owed, only those leaves are evaluated; ``visited`` still counts them
     all.
+
+    A node with two slots left finds the children that survive as one bit
+    word, bit x for the child x, from two tables built once per call:
+    sup[s], the word of every x ⊇ s, and sub[s], the word of every x ⊆ s.
+    A chosen y ⊆ x owes nothing new; every other y owes x | y, a set above
+    x. With two unions owed, a child x below the least one, p, keeps both
+    and has one slot left, so only x = p can survive. With one union p
+    owed, x < p survives exactly when x | y = p for every y ⊄ x, so its
+    word is the children [lo, p) ANDed, for each y, with
+    sup[y] | (sub[p] & sup[p & ~y]), the second term only for y ⊆ p. The
+    one leaf under such an x is p, evaluated when x and every y lie in p;
+    a survivor x ⊆ p already forces every y ⊆ p (each y lies in x or in
+    x | y = p), so the test is x ⊆ p. With nothing owed, the new unions of
+    a survivor must all be one set, so every y ⊄ x holds union - x and
+    that set is w = x | union; the word is the children [lo, top) ANDed
+    with sup[y] | sup[union & ~y] for each y. A survivor with w = x owes
+    nothing and takes the one-slot bulk count; any other has the one leaf
+    w. The child x = p, and every node with three slots or more, still
+    test their children one by one. ``visited`` still counts every child,
+    settled in bulk or not.
     """
     if not 1 <= n <= PHI_NAIVE_MAX_N:
         raise DomainError(f"phi_naive supports 1 <= n <= {PHI_NAIVE_MAX_N}")
@@ -149,6 +169,9 @@ def phi_naive(n: int, m_max: int | None = None) -> SearchResult:
     spread = [sum(1 << 4 * e for e in range(m) if s >> e & 1) for s in range(top)]
     ones = spread[top - 1]
     high = 8 * ones
+    # words over the subsets: sup[s] has bit x iff x ⊇ s, sub[s] iff x ⊆ s
+    sup = [sum(1 << x for x in range(top) if x & s == s) for s in range(top)]
+    sub = [sum(1 << x for x in range(top) if x & s == x) for s in range(top)]
     shifts = range(0, 4 * m, 4)
     best = None  # (maximal frequency, sorted member sizes) of best_families
     best_families: list[tuple[int, ...]] = []
@@ -185,16 +208,53 @@ def phi_naive(n: int, m_max: int | None = None) -> SearchResult:
             else:
                 nodes += top - lo
                 free = (top - 1) & ~union
-                sub = free
+                rest = free
                 while True:  # the supersets of union, from the top down
-                    x = union | sub
+                    x = union | rest
                     if x < lo:
                         break
                     leaf(chosen, x, packed)
-                    if not sub:
+                    if not rest:
                         break
-                    sub = (sub - 1) & free
+                    rest = (rest - 1) & free
             return
+        if room == 2:
+            if not pending:
+                # every y ⊄ x must hold union - x, so the one union owed
+                # is w = x | union; w == x owes none
+                nodes += top - lo
+                word = (1 << top) - (1 << lo)
+                for y in chosen:
+                    word &= sup[y] | sup[union & ~y]
+                while word:
+                    x = (word & -word).bit_length() - 1
+                    word &= word - 1
+                    w = x | union
+                    chosen.append(x)
+                    if w == x:
+                        rec(chosen, 0, x + 1, packed + spread[x], x)
+                    else:
+                        nodes += w - x
+                        leaf(chosen, w, packed + spread[x])
+                    chosen.pop()
+                return
+            p = (pending & -pending).bit_length() - 1
+            nodes += p - lo  # with two unions owed, no x < p survives
+            if not pending & pending - 1:
+                # one union p owed: x < p survives iff every y ⊄ x has
+                # x | y = p; then its leaf p holds every y iff x ⊆ p
+                word = (1 << p) - (1 << lo)
+                for y in chosen:
+                    word &= sup[y] | (sub[p] & sup[p & ~y] if y & p == y else 0)
+                while word:
+                    x = (word & -word).bit_length() - 1
+                    word &= word - 1
+                    nodes += p - x
+                    if x & p == x:
+                        chosen.append(x)
+                        leaf(chosen, p, packed + spread[x])
+                        chosen.pop()
+            lo = p  # x = p takes the loop below
         limit = (pending & -pending).bit_length() - 1 if pending else top - 1
         for x in range(lo, limit + 1):
             nodes += 1

@@ -135,10 +135,12 @@ def _naive_reference(n, m):
 
 @pytest.mark.parametrize(
     "n, m",
-    [(n, m) for n in range(1, 6) for m in range(1, 7) if n <= 1 << m] + [(6, 3)],
+    [(n, m) for n in range(1, 6) for m in range(1, 7) if n <= 1 << m]
+    + [(6, 3), (6, 4), (6, 5)],
 )
 def test_phi_naive_matches_the_per_node_reference(n, m):
-    # the bulk last-slot count visits the same tree: phi, visited, witness
+    # the bulk steps at one and two slots left visit the same tree: phi,
+    # visited, witness; at n = 6 two slots are left with four sets chosen
     result = phi_naive(n, m)
     assert (result.phi, result.visited, result.witness) == _naive_reference(n, m)
 
