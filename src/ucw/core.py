@@ -6,16 +6,15 @@ capped at 64 elements so a mask always fits one machine word.
 
 A :class:`Family` is an immutable, deduplicated collection of masks in
 *canonical order*: ascending cardinality, ties broken by ascending numeric
-mask value. All operations in this module are functions on Python integers,
-with no package beyond the standard library. A family caches two derived
-facts on first use, its closure scan and its membership columns; both are
+mask value. :meth:`Family.from_sets` gets that order from its sort and checks
+m and the range; a directly built ``Family`` checks both member by member.
+All operations are integer functions on the standard library alone. A family
+caches its closure scan and membership columns on first use; both are
 deterministic, so a thread race only computes one of them twice.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby, pairwise, starmap
-from operator import lt
 
 MAX_UNIVERSE = 64
 # the largest universe over which a power set or block family is built whole
@@ -60,20 +59,6 @@ def _check_universe(m: int) -> None:
         raise CapacityError(f"universe size must be in 1..{MAX_UNIVERSE}, got {m}")
 
 
-def _in_range_and_canonical(sets, limit: int) -> bool:
-    """True iff every mask is in [0, limit) and the masks strictly ascend in
-    canonical order. Python loops only over the runs of equal cardinality,
-    at most 65; the masks inside a run are compared pairwise in C."""
-    if sets and not (min(sets) >= 0 and max(sets) < limit):
-        return False
-    prev_count = -1
-    for count, run in groupby(sets, int.bit_count):
-        if count <= prev_count or not all(starmap(lt, pairwise(run))):
-            return False
-        prev_count = count
-    return True
-
-
 # _BIT_DIGITS[k] maps a byte to b"1" if its bit k is set, else to b"0"
 _BIT_DIGITS = [
     bytes.maketrans(bytes(range(256)), bytes(48 + (b >> k & 1) for b in range(256)))
@@ -85,8 +70,10 @@ _BIT_DIGITS = [
 class Family:
     """A deduplicated set family in canonical order over universe [m].
 
-    Construct via :meth:`from_sets` (which sorts and deduplicates) unless the
-    input is already canonical; the constructor validates its invariants.
+    Construct via :meth:`from_sets`, which sorts, deduplicates and checks m
+    and the range, unless the input is already canonical. The constructor
+    checks m, then each member for range and order; the first offending
+    member decides the error.
     """
 
     m: int
@@ -95,9 +82,6 @@ class Family:
     def __post_init__(self):
         _check_universe(self.m)
         limit = 1 << self.m
-        if _in_range_and_canonical(self.sets, limit):
-            return
-        # the first offending set decides the error
         prev_key = None
         for s in self.sets:
             if not 0 <= s < limit:
@@ -113,7 +97,21 @@ class Family:
     def from_sets(cls, m: int, sets) -> "Family":
         """Build a family from any iterable of masks; dedups and sorts."""
         # by value, then stably by cardinality: canonical order
-        return cls(m, tuple(sorted(sorted(set(sets)), key=int.bit_count)))
+        ordered = tuple(sorted(sorted(set(sets)), key=int.bit_count))
+        _check_universe(m)
+        limit = 1 << m
+        if ordered and not (min(ordered) >= 0 and max(ordered) < limit):
+            return cls(m, ordered)  # raises for the first member outside [m]
+        return cls._unchecked(m, ordered)
+
+    @classmethod
+    def _unchecked(cls, m: int, sets: tuple[SetMask, ...]) -> "Family":
+        """Build without checks: the caller guarantees 1 <= m <= 64 and a tuple
+        ``sets`` of masks in [0, 2^m) strictly ascending in canonical order."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "m", m)
+        object.__setattr__(f, "sets", sets)
+        return f
 
     @classmethod
     def from_lists(cls, m: int, lists) -> "Family":
@@ -311,7 +309,8 @@ def basis_sets(f: Family) -> tuple[SetMask, ...]:
 def restrict(f: Family, a: int, contains: bool) -> Family:
     """The sub-family of members that contain (or avoid) element a.
 
-    Both halves of the split are union-closed whenever the input is.
+    Both halves are union-closed whenever the input is; as subsequences of
+    f's members they are canonical and in range.
     """
     if not 1 <= a <= f.m:
         raise DomainError(f"element {a} outside universe [{f.m}]")
@@ -320,7 +319,7 @@ def restrict(f: Family, a: int, contains: bool) -> Family:
         kept = [s for s in f.sets if s & bit]
     else:
         kept = [s for s in f.sets if not s & bit]
-    return Family(f.m, tuple(kept))
+    return Family._unchecked(f.m, tuple(kept))
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,14 @@ def test_gen_block_upset_rejects_2_2(capsys):
     assert "error" in err
 
 
+def test_gen_block_upset_2_11_is_refused_by_the_up_set_budget(capsys):
+    # 23 elements pass the 24-element cap, but up_set's budget counts 2^20
+    # supersets for each of the eleven 3-element generators over [23], past
+    # UPSET_MATERIALIZE_LIMIT; no other valid (s, k) under the cap is refused so
+    code, out, err = run_cli(capsys, "gen", "block-upset", "-s", "2", "-k", "11")
+    assert (code, out, err) == (2, "", "error: up-set too large to materialize\n")
+
+
 def test_gen_pad(capsys, tmp_path):
     src = tmp_path / "p3.ucs"
     dst = tmp_path / "padded.ucs"

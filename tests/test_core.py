@@ -73,19 +73,34 @@ def test_family_first_offending_set_decides_the_error():
         Family(2, (0b00, -1))
     with pytest.raises(DomainError):
         Family(2, (0b01, 0b01))  # duplicated
+    # from_sets names the first member outside [m] in canonical order, which
+    # need be neither the first nor the last member
+    for masks, bad in [([0, 1, -1], "-0x1"), ([0, 3, 4], "0x4"), ([3, 0b1000], "0x8")]:
+        with pytest.raises(CapacityError) as err:
+            Family.from_sets(2, masks)
+        assert str(err.value) == f"set {bad} has elements outside universe [2]"
 
 
 def _first_error(m, sets):
-    """The error class a member-by-member check meets first, or None."""
+    """(error class, message) a member-by-member check meets first, or None."""
     prev = None
     for s in sets:
         if not 0 <= s < 1 << m:
-            return CapacityError
+            return CapacityError, f"set {s:#x} has elements outside universe [{m}]"
         key = (s.bit_count(), s)
         if prev is not None and key <= prev:
-            return DomainError
+            return DomainError, "sets not in canonical order or duplicated"
         prev = key
     return None
+
+
+def _assert_outcome(build, want, sets):
+    if want is None:
+        assert build().sets == tuple(sets)
+    else:
+        with pytest.raises(want[0]) as err:
+            build()
+        assert str(err.value) == want[1]
 
 
 @settings(max_examples=300, deadline=None)
@@ -93,7 +108,16 @@ def _first_error(m, sets):
 def test_family_checks_match_member_by_member_reference(m, data):
     masks = data.draw(st.sets(st.integers(min_value=0, max_value=(1 << m) - 1), max_size=12))
     sets = sorted(masks, key=lambda s: (s.bit_count(), s))
-    assert Family.from_sets(m, masks).sets == tuple(sets)
+    # from_sets sorts, so of any masks outside [0, 2^m) it names the first in
+    # canonical order; the low bits vary their cardinality, hence that place
+    given = data.draw(st.permutations(sorted(masks)))
+    for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+        out = data.draw(st.sampled_from([-1, 1 << m, 1 << 70]))
+        low = data.draw(st.integers(min_value=0, max_value=(1 << m) - 1))
+        i = data.draw(st.integers(min_value=0, max_value=len(given)))
+        given.insert(i, -1 - low if out < 0 else out | low)
+    ordered = sorted(set(given), key=lambda s: (s.bit_count(), s))
+    _assert_outcome(lambda: Family.from_sets(m, given), _first_error(m, ordered), ordered)
     # break the canonical family at most twice: swap two members, repeat
     # one, or put a mask outside [0, 2^m) somewhere
     for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
@@ -105,12 +129,7 @@ def test_family_checks_match_member_by_member_reference(m, data):
             sets.insert(i, sets[i])
         elif kind == "swap" and i + 1 < len(sets):
             sets[i], sets[i + 1] = sets[i + 1], sets[i]
-    want = _first_error(m, sets)
-    if want is None:
-        assert Family(m, tuple(sets)).sets == tuple(sets)
-    else:
-        with pytest.raises(want):
-            Family(m, tuple(sets))
+    _assert_outcome(lambda: Family(m, tuple(sets)), _first_error(m, sets), sets)
 
 
 @settings(max_examples=200, deadline=None)
