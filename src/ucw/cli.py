@@ -122,8 +122,7 @@ def _cmd_gen_pad(args) -> int:
     padded, params = cons.pad_family(fam, args.c)
     n2 = len(padded)
     m2 = core.universe_of(padded).bit_count()
-    familyfile.save_family(args.output, padded)
-    _emit(sys.stdout, [
+    _write_family(padded, args.output, [
         ("p", params.p),
         ("ratio", f"{n2}/{m2}"),
         ("ratio_ok", _bool(Fraction(n2, m2) <= params.c)),

@@ -126,23 +126,25 @@ def phi_naive(n: int, m_max: int | None = None) -> SearchResult:
     frequency, only those with the least sorted member sizes are kept, since
     only they can give the witness.
 
-    The owed unions are a bit word over the 2^m subsets. A node with one
-    slot left counts its children in bulk instead of visiting them: every
-    chosen set lies below a child x, so x owes no new union exactly when it
-    contains the union of the chosen sets, and the child survives only if
-    it also pays the one union still owed (if any). So of the p + 1 - lo
-    children up to the owed union p, or the top - lo children when nothing
-    is owed, only those leaves are evaluated; ``visited`` still counts them
-    all.
+    The owed unions are a bit word over the 2^m subsets, and so are the
+    entries of two tables built once per call: sup[s], the word of every
+    x ⊇ s, and sub[s], the word of every x ⊆ s. A node with one slot left
+    counts its children in bulk instead of visiting them: every chosen set
+    lies below a child x, so x owes no new union exactly when it contains
+    the union of the chosen sets, and the child survives only if it also
+    pays the one union still owed (if any). Let p be that owed union, or
+    top - 1 when nothing is owed. Of the p + 1 - lo children up to p, the
+    leaves are the bits of sup[union] in [lo, p] (an owed p lies in union,
+    so then p alone if p = union), and only they are evaluated; ``visited``
+    still counts them all.
 
     A node with two slots left finds the children that survive as one bit
-    word, bit x for the child x, from two tables built once per call:
-    sup[s], the word of every x ⊇ s, and sub[s], the word of every x ⊆ s.
-    A chosen y ⊆ x owes nothing new; every other y owes x | y, a set above
-    x. With two unions owed, a child x below the least one, p, keeps both
-    and has one slot left, so only x = p can survive. With one union p
-    owed, x < p survives exactly when x | y = p for every y ⊄ x, so its
-    word is the children [lo, p) ANDed, for each y, with
+    word, bit x for the child x, from the same two tables. A chosen y ⊆ x
+    owes nothing new; every other y owes x | y, a set above x. With two
+    unions owed, a child x below the least one, p, keeps both and has one
+    slot left, so only x = p can survive. With one union p owed, x < p
+    survives exactly when x | y = p for every y ⊄ x, so its word is the
+    children [lo, p) ANDed, for each y, with
     sup[y] | (sub[p] & sup[p & ~y]), the second term only for y ⊆ p. The
     one leaf under such an x is p, evaluated when x and every y lie in p;
     a survivor x ⊆ p already forces every y ⊆ p (each y lies in x or in
@@ -196,27 +198,19 @@ def phi_naive(n: int, m_max: int | None = None) -> SearchResult:
             best_families.append(family)
 
     def rec(chosen: list[int], pending: int, lo: int, packed: int, union: int):
-        # a visited node that owes no more unions than it has slots
+        # a visited node that owes no more unions than it has slots; its
+        # children run from lo to p, the least owed union or top - 1
         nonlocal nodes
         room = n - len(chosen)
+        p = (pending & -pending).bit_length() - 1 if pending else top - 1
         if room == 1:
-            if pending:
-                p = (pending & -pending).bit_length() - 1
-                nodes += p + 1 - lo
-                if p & union == union:
-                    leaf(chosen, p, packed)
-            else:
-                nodes += top - lo
-                free = (top - 1) & ~union
-                rest = free
-                while True:  # the supersets of union, from the top down
-                    x = union | rest
-                    if x < lo:
-                        break
-                    leaf(chosen, x, packed)
-                    if not rest:
-                        break
-                    rest = (rest - 1) & free
+            nodes += p + 1 - lo
+            # children x ⊇ union up to p; an owed p lies in union, so x = p = union
+            word = sup[union] & ((1 << p + 1) - (1 << lo))
+            while word:
+                x = (word & -word).bit_length() - 1
+                word &= word - 1
+                leaf(chosen, x, packed)
             return
         if room == 2:
             if not pending:
@@ -238,7 +232,6 @@ def phi_naive(n: int, m_max: int | None = None) -> SearchResult:
                         leaf(chosen, w, packed + spread[x])
                     chosen.pop()
                 return
-            p = (pending & -pending).bit_length() - 1
             nodes += p - lo  # with two unions owed, no x < p survives
             if not pending & pending - 1:
                 # one union p owed: x < p survives iff every y ⊄ x has
@@ -255,8 +248,7 @@ def phi_naive(n: int, m_max: int | None = None) -> SearchResult:
                         leaf(chosen, p, packed + spread[x])
                         chosen.pop()
             lo = p  # x = p takes the loop below
-        limit = (pending & -pending).bit_length() - 1 if pending else top - 1
-        for x in range(lo, limit + 1):
+        for x in range(lo, p + 1):
             nodes += 1
             owed = pending & ~(1 << x)
             for y in chosen:  # y < x, so x | y is x or a new set above x

@@ -85,11 +85,15 @@ def frequency_order_relabel(f: Family) -> tuple[Family, tuple[int, ...]]:
 def s_collection(f: Family) -> STable:
     """The staircase sub-collection of a frequency-ordered separating family.
 
-    Row 0 is U(F); row i is the union of all members avoiding i. Separation
-    plus the frequency ordering guarantee each i in 1..m-1 has an avoiding
-    member, that the staircase pattern holds, and that all rows are distinct
-    members (hence m <= |F|). Row i holds j exactly when j's membership
-    column has a member outside i's column, so it never holds i itself.
+    Row 0 is U(F); row i is the union of all members avoiding i, so it
+    holds j exactly when j's membership column has a member outside i's,
+    and never i itself. The checks below (union-closed, separating, every
+    element used, counts non-decreasing) leave the staircase nothing to
+    check: an i < m in every member would give count_i = count_m = |F|,
+    and a j > i missing from A_i would put j's column inside i's with
+    count_j >= count_i; either way two columns would be equal. So each row
+    is the union of a non-empty set of members, hence a member, it holds
+    every j > i, and the rows are distinct (so m <= |F|).
     """
     _require_separating_union_closed(f, "s_collection")
     counts = frequencies(f)
@@ -99,20 +103,9 @@ def s_collection(f: Family) -> STable:
         raise DomainError("s_collection requires non-decreasing frequencies (relabel first)")
     m = f.m
     cols = membership_columns(f)
-    everyone = (1 << len(f.sets)) - 1
     rows = [(1 << m) - 1]  # the universe is exactly covered
     for i in range(1, m):
-        if cols[i] == everyone:
-            raise DomainError(f"element {i} has no avoiding member")
-        avoiders = everyone ^ cols[i]
-        rows.append(sum(1 << (j - 1) for j, col in cols.items() if col & avoiders))
-    members = set(f.sets)
-    for i, row in enumerate(rows):
-        if row not in members:
-            raise DomainError(f"row A_{i} is not a member (family not union-closed?)")
-        expected_tail = ((1 << m) - 1) ^ ((1 << i) - 1)  # all of U for A_0
-        if row & expected_tail != expected_tail:
-            raise DomainError(f"staircase broken: some j > {i} missing from A_{i}")
+        rows.append(sum(1 << (j - 1) for j, col in cols.items() if col & ~cols[i]))
     s_freq = tuple(
         sum(1 for row in rows if row >> (e - 1) & 1) for e in range(1, m + 1)
     )

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import os
 import subprocess
 import sys
@@ -141,12 +142,13 @@ def test_gen_pad(capsys, tmp_path):
     src = tmp_path / "p3.ucs"
     dst = tmp_path / "padded.ucs"
     run_cli(capsys, "gen", "block-upset", "-s", "3", "-k", "2", "-o", str(src))
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "gen", "pad", "-c", "5/2", "-i", str(src), "-o", str(dst)
     )
-    assert code == 0
-    pairs = as_pairs(out)
-    assert pairs["ratio_ok"] == "true"
+    # the whole report on stdout, none on stderr, and the padded file byte for byte
+    assert (code, out, err) == (0, "p: 41\nratio: 120/48\nratio_ok: true\n", "")
+    digest = hashlib.sha256(dst.read_bytes()).hexdigest()
+    assert digest == "13246e2198c826fbb206b6bda418b8e0e688d16448ad8359ca59635101c77637"
     fam = load_family(dst)
     assert is_union_closed(fam) and is_separating(fam)
 

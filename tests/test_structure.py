@@ -133,13 +133,22 @@ def _per_member_rows(f: Family) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def test_s_collection_matches_per_member_rows(rng):
     # ∅ changes no column's distinctness and no union, so each family is
-    # checked both with and without it
+    # checked both with and without it. s_collection checks none of the
+    # staircase facts below itself: its preconditions imply them
     for _ in range(150):
         src = random_separating_union_closed(rng, m_max=12)
         for sets in (set(src.sets) | {0}, set(src.sets) - {0}):
             fam, _ = frequency_order_relabel(Family.from_sets(src.m, sets))
             table = s_collection(fam)
             assert (table.rows, table.s_frequency) == _per_member_rows(fam)
+            m = fam.m
+            assert set(table.rows) <= set(fam.sets)
+            assert len(set(table.rows)) == m
+            for i, row in enumerate(table.rows):
+                assert i == 0 or not row >> (i - 1) & 1, i
+                tail = ((1 << m) - 1) ^ ((1 << i) - 1)  # the j > i; all of U for A_0
+                assert row & tail == tail, i
+            assert table.s_frequency[m - 1] == m
 
 
 def test_s_collection_requires_frequency_order():
