@@ -127,35 +127,34 @@ def phi_naive(n: int, m_max: int | None = None) -> SearchResult:
     only they can give the witness.
 
     The owed unions are a bit word over the 2^m subsets, and so are the
-    entries of two tables built once per call: sup[s], the word of every
-    x ⊇ s, and sub[s], the word of every x ⊆ s. A node with one slot left
-    counts its children in bulk instead of visiting them: every chosen set
-    lies below a child x, so x owes no new union exactly when it contains
-    the union of the chosen sets, and the child survives only if it also
-    pays the one union still owed (if any). Let p be that owed union, or
-    top - 1 when nothing is owed. Of the p + 1 - lo children up to p, the
-    leaves are the bits of sup[union] in [lo, p] (an owed p lies in union,
-    so then p alone if p = union), and only they are evaluated; ``visited``
-    still counts them all.
+    entries of the tables built once per call: sup[s], the word of every
+    x ⊇ s, sub[s], the word of every x ⊆ s, and rows over pairs derived
+    from them. A node with four slots or more left (any node, if n <= 2)
+    tests its children one by one; one with three left settles each
+    surviving child in one step, by this lemma. Let a node have chosen C
+    and owe P, the pairwise unions of C not in C. If |P| <= 2, C ∪ P is
+    union-closed; if every owed set also exceeds every chosen one, as on
+    the tree, max P is the union of C. Proof: take p = a|b in P and y in
+    C. If a|y or b|y lies in C, p|y is a pairwise union of C. Otherwise
+    both lie in P, which has at most two sets: they are equal, and
+    p|y = a|y, or one is p, and p|y = p. For p|q with q = c|d, that puts
+    p|c in C ∪ P and then (p|c)|d. On the tree max P is the largest member
+    of a union-closed family, so its union. (Without that invariant,
+    C = {1, 2, 7} owes only 3.)
 
-    A node with two slots left finds the children that survive as one bit
-    word, bit x for the child x, from the same two tables. A chosen y ⊆ x
-    owes nothing new; every other y owes x | y, a set above x. With two
-    unions owed, a child x below the least one, p, keeps both and has one
-    slot left, so only x = p can survive. With one union p owed, x < p
-    survives exactly when x | y = p for every y ⊄ x, so its word is the
-    children [lo, p) ANDed, for each y, with
-    sup[y] | (sub[p] & sup[p & ~y]), the second term only for y ⊆ p. The
-    one leaf under such an x is p, evaluated when x and every y lie in p;
-    a survivor x ⊆ p already forces every y ⊆ p (each y lies in x or in
-    x | y = p), so the test is x ⊆ p. With nothing owed, the new unions of
-    a survivor must all be one set, so every y ⊄ x holds union - x and
-    that set is w = x | union; the word is the children [lo, top) ANDed
-    with sup[y] | sup[union & ~y] for each y. A survivor with w = x owes
-    nothing and takes the one-slot bulk count; any other has the one leaf
-    w. The child x = p, and every node with three slots or more, still
-    test their children one by one. ``visited`` still counts every child,
-    settled in bulk or not.
+    With C holding x, a child x owing q < r keeps both in each grandchild
+    below q, and the grandchild q owes r alone: ``visited`` grows by r - x
+    and the one leaf is C + q + r. A child owing q keeps the grandchildren
+    z < q with z | y = q for each y ⊄ z: the children in (x, q) ANDed with
+    sup[y] | (sub[q] & sup[q & ~y]) for each y (the second term only for
+    y ⊆ q). Each lies in q, since below q it cannot hold every y, whose
+    union is q; so q is its one leaf. The grandchild q owes nothing and is
+    the union; its leaves are the bits of sup[q] above q. A child owing
+    nothing keeps the z whose new unions are all w = z | union, so every
+    y ⊄ z holds union - z: the children above x ANDed with
+    sup[y] | sup[union & ~y] for each y. If w = z its leaves are the bits
+    of sup[z] above z, else its one leaf is w. ``visited`` still counts
+    every node settled in bulk.
     """
     if not 1 <= n <= PHI_NAIVE_MAX_N:
         raise DomainError(f"phi_naive supports 1 <= n <= {PHI_NAIVE_MAX_N}")
@@ -175,90 +174,119 @@ def phi_naive(n: int, m_max: int | None = None) -> SearchResult:
     sup = [sum(1 << x for x in range(top) if x & s == s) for s in range(top)]
     sub = [sum(1 << x for x in range(top) if x & s == x) for s in range(top)]
     shifts = range(0, 4 * m, 4)
+    # avoid[h]: the sets clear of every element whose field has its top bit in h
+    avoid = {8 * spread[s]: sub[top - 1 - s] for s in range(top)}
+    words: dict[int, int] = {}  # one object per distinct word keeps the rows small
+
+    def table(entry) -> list[list[int]]:
+        return [[words.setdefault(w, w) for w in map(entry, [a] * top, range(top))]
+                for a in range(top)]
+
+    # owe[x][y]: bit x | y, the union x owes with a chosen y < x, or 0 if that
+    # is x; one[q][y], none[u][y]: the z with y ⊆ z or z | y = q, and with
+    # y ⊆ z or y ⊇ u - z
+    owe = table(lambda x, y: 0 if x | y == x else 1 << (x | y))
+    one = table(lambda q, y: sup[y] | (sub[q] & sup[q & ~y] if y & q == y else 0))
+    none = table(lambda u, y: sup[y] | sup[u & ~y])
     best = None  # (maximal frequency, sorted member sizes) of best_families
     best_families: list[tuple[int, ...]] = []
     over_best = 0  # 7 - best frequency in every field, once there is a best
     nodes = 1  # the root
 
-    def leaf(chosen: list[int], x: int, packed: int):
+    def leaves(chosen: list[int], word: int, packed: int):
+        # evaluate chosen + [x] for every bit x of word
         nonlocal best, best_families, over_best
-        packed += spread[x]
-        if (packed + over_best) & high:
-            return  # some frequency above the best
-        value = max(packed >> shift & 15 for shift in shifts)
-        if value == 0:
-            return
-        family = (*chosen, x)
-        key = (value, sorted(s.bit_count() for s in family))
-        if best is None or key < best:
-            best = key
-            best_families = [family]
-            over_best = (7 - value) * ones
-        elif key == best:
-            best_families.append(family)
+        while word:
+            x = (word & -word).bit_length() - 1
+            word &= word - 1
+            x_packed = packed + spread[x]
+            if (x_packed + over_best) & high:
+                continue  # some frequency above the best
+            if (x_packed + over_best + ones) & high:
+                value = best[0]  # some frequency at the best
+            else:
+                value = max(x_packed >> shift & 15 for shift in shifts)
+                if value == 0:
+                    continue
+            family = (*chosen, x)
+            key = (value, sorted(map(int.bit_count, family)))
+            if best is None or key < best:
+                best = key
+                best_families = [family]
+                over_best = (7 - value) * ones
+            elif key == best:
+                best_families.append(family)
 
     def rec(chosen: list[int], pending: int, lo: int, packed: int, union: int):
         # a visited node that owes no more unions than it has slots; its
-        # children run from lo to p, the least owed union or top - 1
+        # children run from lo to p, the least owed union or top - 1. A leaf
+        # is evaluated only if the sets it adds fit: they are clear of every
+        # element whose count has reached the best
         nonlocal nodes
         room = n - len(chosen)
         p = (pending & -pending).bit_length() - 1 if pending else top - 1
-        if room == 1:
-            nodes += p + 1 - lo
-            # children x ⊇ union up to p; an owed p lies in union, so x = p = union
-            word = sup[union] & ((1 << p + 1) - (1 << lo))
-            while word:
-                x = (word & -word).bit_length() - 1
-                word &= word - 1
-                leaf(chosen, x, packed)
-            return
-        if room == 2:
-            if not pending:
-                # every y ⊄ x must hold union - x, so the one union owed
-                # is w = x | union; w == x owes none
-                nodes += top - lo
-                word = (1 << top) - (1 << lo)
-                for y in chosen:
-                    word &= sup[y] | sup[union & ~y]
-                while word:
-                    x = (word & -word).bit_length() - 1
-                    word &= word - 1
-                    w = x | union
-                    chosen.append(x)
-                    if w == x:
-                        rec(chosen, 0, x + 1, packed + spread[x], x)
-                    else:
-                        nodes += w - x
-                        leaf(chosen, w, packed + spread[x])
-                    chosen.pop()
-                return
-            nodes += p - lo  # with two unions owed, no x < p survives
-            if not pending & pending - 1:
-                # one union p owed: x < p survives iff every y ⊄ x has
-                # x | y = p; then its leaf p holds every y iff x ⊆ p
-                word = (1 << p) - (1 << lo)
-                for y in chosen:
-                    word &= sup[y] | (sub[p] & sup[p & ~y] if y & p == y else 0)
-                while word:
-                    x = (word & -word).bit_length() - 1
-                    word &= word - 1
-                    nodes += p - x
-                    if x & p == x:
-                        chosen.append(x)
-                        leaf(chosen, p, packed + spread[x])
-                        chosen.pop()
-            lo = p  # x = p takes the loop below
         for x in range(lo, p + 1):
             nodes += 1
             owed = pending & ~(1 << x)
-            for y in chosen:  # y < x, so x | y is x or a new set above x
-                u = x | y
-                if u != x:
-                    owed |= 1 << u
+            row = owe[x]
+            for y in chosen:
+                owed |= row[y]
             if owed.bit_count() >= room:
                 continue
+            if room == 1:  # n <= 2; a larger n settles these at three slots
+                leaves(chosen, 1 << x, packed)
+                continue
+            x_packed = packed + spread[x]
             chosen.append(x)
-            rec(chosen, owed, x + 1, packed + spread[x], union | x)
+            if room != 3:
+                rec(chosen, owed, x + 1, x_packed, union | x)
+            elif owed & owed - 1:
+                # owing q < r: only the grandchild q survives; its leaf is r
+                q = (owed & -owed).bit_length() - 1
+                r = owed.bit_length() - 1
+                nodes += r - x
+                leaves([*chosen, q], 1 << r, x_packed + spread[q])
+            elif owed:
+                # owing q: a grandchild z < q survives iff every y ⊄ z has
+                # z | y = q, and its leaf is q; the grandchild q owes nothing
+                q = owed.bit_length() - 1
+                nodes += top - 1 - x
+                word = (1 << q) - (2 << x)
+                row = one[q]
+                for y in chosen:
+                    word &= row[y]
+                q_packed = x_packed + spread[q]
+                fits = avoid[(q_packed + over_best + ones) & high]
+                while word:
+                    z = (word & -word).bit_length() - 1
+                    word &= word - 1
+                    nodes += q - z
+                    if fits >> z & 1:
+                        leaves([*chosen, z], owed, x_packed + spread[z])
+                leaves([*chosen, q], sup[q] & fits & -(2 << q), q_packed)
+            else:
+                # owing nothing: a grandchild z survives iff every y ⊄ z
+                # holds union - z, so that z owes w = z | union alone, or
+                # nothing when w == z
+                x_union = union | x
+                nodes += top - 1 - x
+                word = (1 << top) - (2 << x)
+                row = none[x_union]
+                for y in chosen:
+                    word &= row[y]
+                fits = avoid[(x_packed + over_best + ones) & high]
+                while word:
+                    z = (word & -word).bit_length() - 1
+                    word &= word - 1
+                    w = z | x_union
+                    if w == z:
+                        nodes += top - 1 - z
+                        last = sup[z] & -(2 << z)
+                    else:
+                        nodes += w - z
+                        last = 1 << w
+                    if fits >> z & 1 and last & fits:
+                        leaves([*chosen, z], last & fits, x_packed + spread[z])
             chosen.pop()
 
     rec([], 0, 0, 0, 0)

@@ -1,3 +1,4 @@
+import random
 from functools import cache
 from itertools import combinations, permutations, product
 from math import factorial
@@ -88,8 +89,14 @@ def test_phi_naive_agrees_with_plain_enumeration():
 
 
 def _naive_reference(n, m):
+    phi, nodes, pool = _naive_reference_pool(n, m)
+    return phi, nodes, _least_family(m, pool)
+
+
+def _naive_reference_pool(n, m):
     # phi_naive as first written: pending unions as a set, one call per
-    # node down to the leaves, each leaf's counts taken bit by bit
+    # node down to the leaves, each leaf's counts taken bit by bit; returns
+    # phi, visited and every tied family the witness is picked from
     best = None
     best_families = []
     nodes = 0
@@ -130,7 +137,7 @@ def _naive_reference(n, m):
             chosen.pop()
 
     rec([], set(), 0)
-    return best[0], nodes, _least_family(m, best_families)
+    return best[0], nodes, best_families
 
 
 @pytest.mark.parametrize(
@@ -138,11 +145,70 @@ def _naive_reference(n, m):
     [(n, m) for n in range(1, 6) for m in range(1, 7) if n <= 1 << m]
     + [(6, 3), (6, 4), (6, 5)],
 )
-def test_phi_naive_matches_the_per_node_reference(n, m):
-    # the bulk steps at one and two slots left visit the same tree: phi,
-    # visited, witness; at n = 6 two slots are left with four sets chosen
+def test_phi_naive_matches_the_per_node_reference(n, m, monkeypatch):
+    # the three-slot step visits the same tree: phi, visited, witness, and
+    # the whole pool of tied families the witness is picked from, each an
+    # n-set union-closed family; at n = 6 three slots are left with three
+    # sets chosen
+    pools = []
+
+    def capture(m, pool):
+        pools.append(list(pool))
+        return _least_family(m, pool)
+
+    monkeypatch.setattr(phisearch, "_least_family", capture)
     result = phi_naive(n, m)
-    assert (result.phi, result.visited, result.witness) == _naive_reference(n, m)
+    phi, nodes, pool = _naive_reference_pool(n, m)
+    witness = _least_family(m, pool)
+    assert (result.phi, result.visited, result.witness) == (phi, nodes, witness)
+    [got] = pools
+    assert sorted(got) == sorted(pool)
+    for family in got:
+        assert len(set(family)) == n
+        assert is_union_closed(Family.from_sets(m, family))
+
+
+def _owed_unions(chosen):
+    # P: the pairwise unions of the chosen sets that are not chosen
+    return {a | b for a in chosen for b in chosen} - set(chosen)
+
+
+def _check_owed_closure(chosen):
+    # the lemma behind phi_naive's three-slot step: a family C that misses
+    # at most two of its pairwise unions P closes by adding them, and when
+    # every owed set exceeds every chosen one, max P is the union of C.
+    # Returns whether each claim applied
+    owed = _owed_unions(chosen)
+    if not chosen or len(owed) > 2:
+        return False, False
+    closed = set(chosen) | owed
+    assert all(a | b in closed for a in closed for b in closed), chosen
+    if not owed or min(owed) < max(chosen):
+        return True, False
+    union = 0
+    for s in chosen:
+        union |= s
+    assert max(owed) == union, chosen
+    return True, True
+
+
+def test_a_prefix_owing_at_most_two_unions_closes_by_adding_them():
+    # how many families each claim applied to: every C ⊆ P(3), then 2,000
+    # seeded random C over each of P(5) and P(6)
+    applied = [_check_owed_closure(chosen) for r in range(1, 9)
+               for chosen in combinations(range(8), r)]
+    assert [sum(claim) for claim in zip(*applied)] == [245, 74]
+    rng = random.Random(20261020)
+    applied = [_check_owed_closure(rng.sample(range(1 << m), rng.randint(2, 6)))
+               for m in (5, 6) for _ in range(2000)]
+    assert [sum(claim) for claim in zip(*applied)] == [2157, 1131]
+    # the bounds: three owed unions need not close, and without the
+    # invariant the owed union need not be the union of C
+    assert _owed_unions([1, 2, 4]) == {3, 5, 6} and 3 | 4 == 7
+    assert 7 not in {1, 2, 4} | _owed_unions([1, 2, 4])
+    assert _check_owed_closure([1, 2, 4]) == (False, False)
+    assert _owed_unions([1, 2, 7]) == {3} and 1 | 2 | 7 == 7 != 3
+    assert _check_owed_closure([1, 2, 7]) == (True, False)
 
 
 def _branch_reference(t, m_cap, first_mask, n, rule=True):
