@@ -200,11 +200,13 @@ def renaud_family(n: int) -> Family:
     full = len(sched.full_levels)  # the wholly deleted levels are sizes 1..full
     partial = balanced_deletion(k - 1, sched.r - 1, sched.v)
     deleted = {sub | kbit for sub in partial}
-    kept = [
-        s for s in range(1 << k)
+    # sorted stably by size, range(1 << k) is P(k) in canonical order, and
+    # the filter keeps that order; every member is a subset of [k]
+    kept = tuple(
+        s for s in sorted(range(1 << k), key=int.bit_count)
         if not (s & kbit and s.bit_count() <= full) and s not in deleted
-    ]
-    return Family.from_sets(k, kept)
+    )
+    return Family._unchecked(k, kept)
 
 
 def beta(n: int) -> tuple[int, BetaDecomposition]:
@@ -305,8 +307,11 @@ def _block_family(s: int, k: int) -> Family:
     if m > MAX_MATERIALIZED_UNIVERSE:
         raise CapacityError(f"materialization capped at sk+1 <= {MAX_MATERIALIZED_UNIVERSE}")
     upper = up_set(_block_generators(s, k), m)
-    sets = list(range(1 << (s * k))) + list(upper.sets)
-    return Family.from_sets(m, sets)
+    # P(sk) ascending, then the up-set, sorted stably by size: in a size, P(sk)
+    # members are below 2^(sk) and up-set members hold sk+1, so are at least
+    # 2^(sk); the result is canonical, distinct and within [m]
+    sets = sorted([*range(1 << (s * k)), *upper.sets], key=int.bit_count)
+    return Family._unchecked(m, tuple(sets))
 
 
 def block_upset_family(params: BlockUpsetParams) -> Family:

@@ -24,8 +24,10 @@ canonicalizes the input.
 """
 
 import re
+from itertools import repeat
+from operator import add, and_, rshift
 
-from .core import MAX_UNIVERSE, Family, elements_of
+from .core import MAX_UNIVERSE, Family
 
 HEADER = "ucs 1"
 
@@ -131,23 +133,26 @@ def parse_family(text: str) -> Family:
 def serialize_family(f: Family) -> str:
     """Canonical rendering; byte-stable for equal families.
 
-    A set line is built a byte of the mask at a time: for each 8-element
-    block the text of all 256 byte values is made once, and a line joins
-    the pieces of the mask's non-zero bytes.
+    Builtins do the per-set work. For each 8-element block the texts of all
+    256 byte values are built by doubling: with element e the table gains a
+    copy of itself with " e" appended, so entry b holds " e" for each bit of
+    b. A line is the concatenation of its blocks' entries, less the leading
+    space; ∅, which can only be the first member, renders empty and becomes
+    ``-``.
     """
-    width = (f.m + 7) // 8
-    pieces = [
-        [" ".join(str(base + e) for e in elements_of(b)) for b in range(256)]
-        for base in range(0, 8 * width, 8)
-    ]
-    lines = [HEADER, f"m={f.m}"]
-    for s in f.sets:
-        if s:
-            chunks = s.to_bytes(width, "little")
-            lines.append(" ".join([p[b] for p, b in zip(pieces, chunks) if b]))
-        else:
-            lines.append("-")
-    return "\n".join(lines) + "\n"
+    for base in range(0, f.m, 8):
+        table = [""]
+        for token in map(" {}".format, range(base + 1, base + 9)):
+            table += [t + token for t in table]
+        blocks = map(rshift, f.sets, repeat(base)) if base else f.sets
+        if base + 8 < f.m:  # clear the bits of later blocks
+            blocks = map(and_, blocks, repeat(255))
+        texts = map(table.__getitem__, blocks)
+        lines = map(add, lines, texts) if base else texts
+    out = [HEADER, f"m={f.m}", *map(str.lstrip, lines), ""]
+    if f.sets and not f.sets[0]:
+        out[2] = "-"
+    return "\n".join(out)
 
 
 def load_family(path) -> Family:

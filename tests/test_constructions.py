@@ -277,6 +277,42 @@ def test_renaud_family_2_to_1024_pinned_byte_for_byte():
     assert digest.hexdigest() == B_2_TO_1024_DIGEST
 
 
+# sha256 of the serialized C(s,k); C(4,4), over m = 17, spans three byte blocks
+C_DIGESTS = {
+    (4, 3): "ee42b7a0a02f92ba5f72f2e7b3ffaec7c529f356d1deefcfdcff76e05d32957d",
+    (4, 4): "f1b82696bb60bcfc46b1c4ac69c623f52be85181ed14f49e2eb13d9e09291099",
+}
+
+
+@pytest.mark.parametrize("s,k", sorted(C_DIGESTS))
+def test_block_upset_family_pinned_byte_for_byte(s, k):
+    text = serialize_family(block_upset_family(BlockUpsetParams(s, k)))
+    assert hashlib.sha256(text.encode()).hexdigest() == C_DIGESTS[s, k]
+
+
+# renaud_family and the block builders skip Family's checks, so the checked
+# constructor must take what they build unchanged
+def test_renaud_family_passes_the_checked_constructor():
+    for n in [*range(2, 1025), 8192]:
+        fam = renaud_family(n)
+        assert Family(fam.m, fam.sets) == fam, n
+
+
+@pytest.mark.parametrize(
+    "s,k",
+    [(s, k) for s in range(2, 9) for k in range(2, 9) if s * k + 1 <= 17 and (s, k) != (2, 2)],
+)
+def test_block_upset_family_passes_the_checked_constructor(s, k):
+    fam = block_upset_family(BlockUpsetParams(s, k))
+    assert Family(fam.m, fam.sets) == fam
+
+
+@pytest.mark.parametrize("N", range(2, 7))
+def test_two_block_family_passes_the_checked_constructor(N):
+    fam = two_block_family(N)
+    assert Family(fam.m, fam.sets) == fam
+
+
 # ---------------------------------------------------------------------------
 # up-sets and block families
 

@@ -110,8 +110,29 @@ def test_serialize_matches_per_element_rendering(m, data):
         st.lists(st.integers(min_value=0, max_value=(1 << m) - 1), min_size=1, max_size=8)
     )
     fam = Family.from_sets(m, sets)
+    assert serialize_family(fam) == _per_element_rendering(fam)
+
+
+def _per_element_rendering(fam: Family) -> str:
     lines = [" ".join(map(str, elements_of(s))) or "-" for s in fam.sets]
-    assert serialize_family(fam) == "\n".join(["ucs 1", f"m={m}", *lines]) + "\n"
+    return "\n".join(["ucs 1", f"m={fam.m}", *lines]) + "\n"
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 16, 17, 63, 64])
+def test_serialize_block_edges_match_per_element_rendering(m):
+    # ∅ and full masks, the end elements and every singleton, on either
+    # side of each byte block's edge
+    full = (1 << m) - 1
+    singletons = [[1 << i] for i in range(m)]
+    families = [
+        Family.from_sets(m, sets)
+        for sets in [[0], [full], [0, full], [1, 1 << (m - 1)], *singletons,
+                     [1 << i for i in range(m)], [0, *(1 << i for i in range(m))]]
+    ]
+    for fam in families:
+        assert serialize_family(fam) == _per_element_rendering(fam)
+        assert parse_family(serialize_family(fam)) == fam
+    assert serialize_family(Family(m, ())) == f"ucs 1\nm={m}\n"
 
 
 @pytest.mark.parametrize(
