@@ -6,7 +6,7 @@ Subcommands::
     ucw gen renaud -n N [-o FILE]
     ucw gen beta -n N
     ucw gen block-upset -s S -k K [-o FILE]
-    ucw gen pad -c NUM/DEN -i IN -o OUT
+    ucw gen pad -c NUM/DEN -i IN [-o FILE]
     ucw analyze FILE
     ucw verify FILE             (exit 0 holds / 1 violated / 2 usage or parse)
     ucw search phi -n N [--naive] [--m-max M] [-o FILE]
@@ -245,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = gen_sub.add_parser("pad", help="pad a family down to ratio <= c")
     p.add_argument("-c", type=_fraction, required=True, metavar="NUM/DEN")
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("-o", "--output", required=True)
+    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gen_pad)
 
     p = sub.add_parser("analyze", help="report structural facts about a family file")

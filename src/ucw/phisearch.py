@@ -1,11 +1,13 @@
 """Exhaustive search for the minimal maximal frequency over n-set families.
 
 phi(n) is the minimum, over union-closed families of exactly n sets with at
-least one non-empty member, of the largest element frequency. Two routes:
+least one non-empty member, of the largest element frequency. Two routes
+share one traversal:
 
-* :func:`phi_naive` enumerates n-subsets of P(m) in ascending numeric order,
-  skipping branches whose forced pair-unions can no longer be included. It is
-  the small-scale oracle.
+* :func:`phi_naive`, the small-scale oracle, runs the traversal described
+  below on [m] with the cap t = n: no frequency of an n-set family passes
+  n, so it reaches every union-closed family of n sets on P(m) up to
+  relabeling.
 
 * :func:`phi_search` proves the value by exhausting the space *below*
   beta(n), the maximal frequency of B(n) (at most a(n), as the tests check
@@ -62,11 +64,9 @@ The witness reported with phi(n) is the balanced-deletion family when the
 bound is tight (it always is on the verified range); otherwise, as in
 :func:`phi_naive`, it is the least tied family by sorted member sizes, then
 by its member tuple in canonical order. That is also the least over every
-relabeling of the tied families, since each pool holds the least relabeling
-of each member: phi_naive's pool, every union-closed n-subset of P(m) with
-the least frequency and sizes, is closed under relabeling, and in
-phi_search the traversal reaches the least relabeling, less any ∅, on [t]
-with the same frequencies, and the equal-column rule never cuts it.
+relabeling of the tied families: the traversal reaches the least
+relabeling of each, less any ∅, with the same frequencies, and the
+equal-column rule never cuts it.
 """
 
 import time
@@ -84,11 +84,12 @@ NODE_BUDGET = 20_000_000  # nodes per search
 class SearchConfig:
     """Knobs for :func:`phi_search`.
 
-    ``m_max`` caps the universe of the ``naive`` oracle only (default n).
-    The exact search rejects it: it always runs on [t], t the constructive
-    bound minus one, which every family that beats the bound can be
-    relabeled into. The module constant ``NODE_BUDGET`` bounds the nodes
-    of the whole search.
+    ``naive`` routes to :func:`phi_naive`, the same traversal on [m_max]
+    with the cap n. ``m_max`` sets that universe (default n) and serves
+    the oracle only. The exact search rejects it: it always runs on [t],
+    t the constructive bound minus one, which every family that beats the
+    bound can be relabeled into. The module constant ``NODE_BUDGET``
+    bounds the nodes of either traversal.
     """
 
     n: int
@@ -116,45 +117,22 @@ def _least_family(m: int, pool) -> Family:
     return Family.from_sets(m, min(pool, key=key))
 
 
+def _least_found(m: int, found) -> tuple[int, Family]:
+    """The least frequency among ``found``'s (frequency, members) pairs and
+    the least family tied at it."""
+    value = min(v for v, _ in found)
+    return value, _least_family(m, [sets for v, sets in found if v == value])
+
+
 def phi_naive(n: int, m_max: int | None = None) -> SearchResult:
-    """Oracle-scale exact phi by exhaustive subset enumeration (n <= 6).
+    """Oracle-scale exact phi on [m_max] (n <= 6, n <= 2^m_max).
 
-    Walks n-subsets of P(m_max) in ascending numeric order; a partial choice
-    dies once a forced union (of two chosen sets) below the next candidate is
-    missing, or more unions are owed than slots remain. Families with no
-    non-empty member are excluded. Of the families with the least maximal
-    frequency, only those with the least sorted member sizes are kept, since
-    only they can give the witness.
-
-    The owed unions are a bit word over the 2^m subsets, and so are the
-    entries of the tables built once per call: sup[s], the word of every
-    x ⊇ s, sub[s], the word of every x ⊆ s, and rows over pairs derived
-    from them. A node with four slots or more left (any node, if n <= 2)
-    tests its children one by one; one with three left settles each
-    surviving child in one step, by this lemma. Let a node have chosen C
-    and owe P, the pairwise unions of C not in C. If |P| <= 2, C ∪ P is
-    union-closed; if every owed set also exceeds every chosen one, as on
-    the tree, max P is the union of C. Proof: take p = a|b in P and y in
-    C. If a|y or b|y lies in C, p|y is a pairwise union of C. Otherwise
-    both lie in P, which has at most two sets: they are equal, and
-    p|y = a|y, or one is p, and p|y = p. For p|q with q = c|d, that puts
-    p|c in C ∪ P and then (p|c)|d. On the tree max P is the largest member
-    of a union-closed family, so its union. (Without that invariant,
-    C = {1, 2, 7} owes only 3.)
-
-    With C holding x, a child x owing q < r keeps both in each grandchild
-    below q, and the grandchild q owes r alone: ``visited`` grows by r - x
-    and the one leaf is C + q + r. A child owing q keeps the grandchildren
-    z < q with z | y = q for each y ⊄ z: the children in (x, q) ANDed with
-    sup[y] | (sub[q] & sup[q & ~y]) for each y (the second term only for
-    y ⊆ q). Each lies in q, since below q it cannot hold every y, whose
-    union is q; so q is its one leaf. The grandchild q owes nothing and is
-    the union; its leaves are the bits of sup[q] above q. A child owing
-    nothing keeps the z whose new unions are all w = z | union, so every
-    y ⊄ z holds union - z: the children above x ANDed with
-    sup[y] | sup[union & ~y] for each y. If w = z its leaves are the bits
-    of sup[z] above z, else its one leaf is w. ``visited`` still counts
-    every node settled in bulk.
+    Runs the search's traversal on [m_max] with the cap t = n, which no
+    frequency of an n-set family passes, so it reaches every union-closed
+    family of n sets on [m_max] with a non-empty member, up to relabeling
+    and its tuple-least relabeling always. ``visited`` and
+    ``conjecture_violations`` count that traversal's nodes as in
+    :func:`phi_search`.
     """
     if not 1 <= n <= PHI_NAIVE_MAX_N:
         raise DomainError(f"phi_naive supports 1 <= n <= {PHI_NAIVE_MAX_N}")
@@ -165,133 +143,11 @@ def phi_naive(n: int, m_max: int | None = None) -> SearchResult:
     if n > top:
         raise DomainError(f"phi_naive needs n <= 2^m_max = {top}")
     start = time.perf_counter()
-    # element counts packed 4 bits per element; a count is at most n <= 6,
-    # so adding 7 - v to every count sets a field's top bit iff it exceeds v
-    spread = [sum(1 << 4 * e for e in range(m) if s >> e & 1) for s in range(top)]
-    ones = spread[top - 1]
-    high = 8 * ones
-    # words over the subsets: sup[s] has bit x iff x ⊇ s, sub[s] iff x ⊆ s
-    sup = [sum(1 << x for x in range(top) if x & s == s) for s in range(top)]
-    sub = [sum(1 << x for x in range(top) if x & s == x) for s in range(top)]
-    shifts = range(0, 4 * m, 4)
-    # avoid[h]: the sets clear of every element whose field has its top bit in h
-    avoid = {8 * spread[s]: sub[top - 1 - s] for s in range(top)}
-    words: dict[int, int] = {}  # one object per distinct word keeps the rows small
-
-    def table(entry) -> list[list[int]]:
-        return [[words.setdefault(w, w) for w in map(entry, [a] * top, range(top))]
-                for a in range(top)]
-
-    # owe[x][y]: bit x | y, the union x owes with a chosen y < x, or 0 if that
-    # is x; one[q][y], none[u][y]: the z with y ⊆ z or z | y = q, and with
-    # y ⊆ z or y ⊇ u - z
-    owe = table(lambda x, y: 0 if x | y == x else 1 << (x | y))
-    one = table(lambda q, y: sup[y] | (sub[q] & sup[q & ~y] if y & q == y else 0))
-    none = table(lambda u, y: sup[y] | sup[u & ~y])
-    best = None  # (maximal frequency, sorted member sizes) of best_families
-    best_families: list[tuple[int, ...]] = []
-    over_best = 0  # 7 - best frequency in every field, once there is a best
-    nodes = 1  # the root
-
-    def leaves(chosen: list[int], word: int, packed: int):
-        # evaluate chosen + [x] for every bit x of word
-        nonlocal best, best_families, over_best
-        while word:
-            x = (word & -word).bit_length() - 1
-            word &= word - 1
-            x_packed = packed + spread[x]
-            if (x_packed + over_best) & high:
-                continue  # some frequency above the best
-            if (x_packed + over_best + ones) & high:
-                value = best[0]  # some frequency at the best
-            else:
-                value = max(x_packed >> shift & 15 for shift in shifts)
-                if value == 0:
-                    continue
-            family = (*chosen, x)
-            key = (value, sorted(map(int.bit_count, family)))
-            if best is None or key < best:
-                best = key
-                best_families = [family]
-                over_best = (7 - value) * ones
-            elif key == best:
-                best_families.append(family)
-
-    def rec(chosen: list[int], pending: int, lo: int, packed: int, union: int):
-        # a visited node that owes no more unions than it has slots; its
-        # children run from lo to p, the least owed union or top - 1. A leaf
-        # is evaluated only if the sets it adds fit: they are clear of every
-        # element whose count has reached the best
-        nonlocal nodes
-        room = n - len(chosen)
-        p = (pending & -pending).bit_length() - 1 if pending else top - 1
-        for x in range(lo, p + 1):
-            nodes += 1
-            owed = pending & ~(1 << x)
-            row = owe[x]
-            for y in chosen:
-                owed |= row[y]
-            if owed.bit_count() >= room:
-                continue
-            if room == 1:  # n <= 2; a larger n settles these at three slots
-                leaves(chosen, 1 << x, packed)
-                continue
-            x_packed = packed + spread[x]
-            chosen.append(x)
-            if room != 3:
-                rec(chosen, owed, x + 1, x_packed, union | x)
-            elif owed & owed - 1:
-                # owing q < r: only the grandchild q survives; its leaf is r
-                q = (owed & -owed).bit_length() - 1
-                r = owed.bit_length() - 1
-                nodes += r - x
-                leaves([*chosen, q], 1 << r, x_packed + spread[q])
-            elif owed:
-                # owing q: a grandchild z < q survives iff every y ⊄ z has
-                # z | y = q, and its leaf is q; the grandchild q owes nothing
-                q = owed.bit_length() - 1
-                nodes += top - 1 - x
-                word = (1 << q) - (2 << x)
-                row = one[q]
-                for y in chosen:
-                    word &= row[y]
-                q_packed = x_packed + spread[q]
-                fits = avoid[(q_packed + over_best + ones) & high]
-                while word:
-                    z = (word & -word).bit_length() - 1
-                    word &= word - 1
-                    nodes += q - z
-                    if fits >> z & 1:
-                        leaves([*chosen, z], owed, x_packed + spread[z])
-                leaves([*chosen, q], sup[q] & fits & -(2 << q), q_packed)
-            else:
-                # owing nothing: a grandchild z survives iff every y ⊄ z
-                # holds union - z, so that z owes w = z | union alone, or
-                # nothing when w == z
-                x_union = union | x
-                nodes += top - 1 - x
-                word = (1 << top) - (2 << x)
-                row = none[x_union]
-                for y in chosen:
-                    word &= row[y]
-                fits = avoid[(x_packed + over_best + ones) & high]
-                while word:
-                    z = (word & -word).bit_length() - 1
-                    word &= word - 1
-                    w = z | x_union
-                    if w == z:
-                        nodes += top - 1 - z
-                        last = sup[z] & -(2 << z)
-                    else:
-                        nodes += w - z
-                        last = 1 << w
-                    if fits >> z & 1 and last & fits:
-                        leaves([*chosen, z], last & fits, x_packed + spread[z])
-            chosen.pop()
-
-    rec([], 0, 0, 0, 0)
-    witness = _least_family(m, best_families)
-    return SearchResult(best[0], witness, nodes, time.perf_counter() - start)
+    branch_nodes, violations, found = _branch_enumerate(n, m, n)
+    value, witness = _least_found(m, found)
+    return SearchResult(
+        value, witness, sum(branch_nodes), time.perf_counter() - start, violations
+    )
 
 
 def _branch_enumerate(t: int, m_cap: int, n: int):
@@ -396,6 +252,10 @@ def _branch_enumerate(t: int, m_cap: int, n: int):
 
     masks = sorted(range(1, 1 << m_cap), key=canonical_key)
     dfs(frozenset(), bias * ones, set(), ((z, {z}, 0) for z in masks), [(1 << m_cap) - 1])
+    # dfs holds itself through its closure cell; clearing the cell frees
+    # that cycle, and ``found`` with it, now rather than at the next full
+    # collection, so the peak memory of repeated searches does not climb
+    del dfs
     return branch_nodes, violations, found
 
 
@@ -419,8 +279,7 @@ def phi_search(config: SearchConfig) -> SearchResult:
     t = value - 1
     branch_nodes, violations, improving = _branch_enumerate(t, t, n)
     if improving:
-        value = min(v for v, _ in improving)
-        witness = _least_family(t, [sets for v, sets in improving if v == value])
+        value, witness = _least_found(t, improving)
     return SearchResult(
         value, witness, sum(branch_nodes), time.perf_counter() - start, violations
     )

@@ -153,6 +153,16 @@ def test_gen_pad(capsys, tmp_path):
     assert is_union_closed(fam) and is_separating(fam)
 
 
+def test_gen_pad_without_output_writes_the_document_to_stdout(capsys, tmp_path):
+    # as every gen command: the same bytes test_gen_pad pins, the report on stderr
+    src = tmp_path / "p3.ucs"
+    run_cli(capsys, "gen", "block-upset", "-s", "3", "-k", "2", "-o", str(src))
+    code, out, err = run_cli(capsys, "gen", "pad", "-c", "5/2", "-i", str(src))
+    assert (code, err) == (0, "p: 41\nratio: 120/48\nratio_ok: true\n")
+    digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+    assert digest == "13246e2198c826fbb206b6bda418b8e0e688d16448ad8359ca59635101c77637"
+
+
 @pytest.mark.parametrize("ratio", ["5/0", "0/0", "1e10000000"])
 def test_gen_pad_zero_denominator_is_a_usage_error(capsys, tmp_path, ratio):
     # Fraction raises ZeroDivisionError on a zero denominator, which argparse

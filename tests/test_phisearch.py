@@ -1,4 +1,4 @@
-import random
+import gc
 from functools import cache
 from itertools import combinations, permutations, product
 from math import factorial
@@ -94,9 +94,10 @@ def _naive_reference(n, m):
 
 
 def _naive_reference_pool(n, m):
-    # phi_naive as first written: pending unions as a set, one call per
-    # node down to the leaves, each leaf's counts taken bit by bit; returns
-    # phi, visited and every tied family the witness is picked from
+    # the subset tree phi_naive once walked: n-subsets of P(m) in ascending
+    # numeric order, pending unions as a set, one call per node down to the
+    # leaves, each leaf's counts taken bit by bit; returns phi, the nodes of
+    # that tree and every tied family of the least sorted sizes
     best = None
     best_families = []
     nodes = 0
@@ -146,10 +147,11 @@ def _naive_reference_pool(n, m):
     + [(6, 3), (6, 4), (6, 5)],
 )
 def test_phi_naive_matches_the_per_node_reference(n, m, monkeypatch):
-    # the three-slot step visits the same tree: phi, visited, witness, and
-    # the whole pool of tied families the witness is picked from, each an
-    # n-set union-closed family; at n = 6 three slots are left with three
-    # sets chosen
+    # the traversal with the cap n on [m] against the subset tree over every
+    # labelled n-subset of P(m): phi, the witness, and the tied pool the
+    # witness is picked from. The traversal records one family per class,
+    # so the pools are compared by canonical form, among the families of
+    # the least sorted sizes, the only ones the reference keeps
     pools = []
 
     def capture(m, pool):
@@ -158,57 +160,18 @@ def test_phi_naive_matches_the_per_node_reference(n, m, monkeypatch):
 
     monkeypatch.setattr(phisearch, "_least_family", capture)
     result = phi_naive(n, m)
-    phi, nodes, pool = _naive_reference_pool(n, m)
-    witness = _least_family(m, pool)
-    assert (result.phi, result.visited, result.witness) == (phi, nodes, witness)
+    phi, _, pool = _naive_reference_pool(n, m)
+    assert (result.phi, result.witness) == (phi, _least_family(m, pool))
     [got] = pools
-    assert sorted(got) == sorted(pool)
     for family in got:
         assert len(set(family)) == n
+        assert max_frequency(Family.from_sets(m, family))[1] == phi
         assert is_union_closed(Family.from_sets(m, family))
-
-
-def _owed_unions(chosen):
-    # P: the pairwise unions of the chosen sets that are not chosen
-    return {a | b for a in chosen for b in chosen} - set(chosen)
-
-
-def _check_owed_closure(chosen):
-    # the lemma behind phi_naive's three-slot step: a family C that misses
-    # at most two of its pairwise unions P closes by adding them, and when
-    # every owed set exceeds every chosen one, max P is the union of C.
-    # Returns whether each claim applied
-    owed = _owed_unions(chosen)
-    if not chosen or len(owed) > 2:
-        return False, False
-    closed = set(chosen) | owed
-    assert all(a | b in closed for a in closed for b in closed), chosen
-    if not owed or min(owed) < max(chosen):
-        return True, False
-    union = 0
-    for s in chosen:
-        union |= s
-    assert max(owed) == union, chosen
-    return True, True
-
-
-def test_a_prefix_owing_at_most_two_unions_closes_by_adding_them():
-    # how many families each claim applied to: every C ⊆ P(3), then 2,000
-    # seeded random C over each of P(5) and P(6)
-    applied = [_check_owed_closure(chosen) for r in range(1, 9)
-               for chosen in combinations(range(8), r)]
-    assert [sum(claim) for claim in zip(*applied)] == [245, 74]
-    rng = random.Random(20261020)
-    applied = [_check_owed_closure(rng.sample(range(1 << m), rng.randint(2, 6)))
-               for m in (5, 6) for _ in range(2000)]
-    assert [sum(claim) for claim in zip(*applied)] == [2157, 1131]
-    # the bounds: three owed unions need not close, and without the
-    # invariant the owed union need not be the union of C
-    assert _owed_unions([1, 2, 4]) == {3, 5, 6} and 3 | 4 == 7
-    assert 7 not in {1, 2, 4} | _owed_unions([1, 2, 4])
-    assert _check_owed_closure([1, 2, 4]) == (False, False)
-    assert _owed_unions([1, 2, 7]) == {3} and 1 | 2 | 7 == 7 != 3
-    assert _check_owed_closure([1, 2, 7]) == (True, False)
+    sizes = min(sorted(map(int.bit_count, family)) for family in got)
+    got = [family for family in got if sorted(map(int.bit_count, family)) == sizes]
+    assert {_canonical_form(family, m)[0] for family in got} == {
+        _canonical_form(family, m)[0] for family in pool
+    }
 
 
 def _branch_reference(t, m_cap, first_mask, n, rule=True):
@@ -259,7 +222,8 @@ def _branch_reference(t, m_cap, first_mask, n, rule=True):
 
 
 @pytest.mark.parametrize(
-    "t, m_cap", [(t, m_cap) for t in range(1, 6) for m_cap in range(1, t + 1)]
+    "t, m_cap",
+    [(t, m_cap) for t in range(1, 6) for m_cap in range(1, t + 1)] + [(2, 4), (3, 5)],
 )
 def test_branch_enumerate_matches_the_rescanning_reference(t, m_cap):
     # inherited candidate lists and classes refined by the added sets visit
@@ -278,6 +242,19 @@ def test_branch_enumerate_matches_the_rescanning_reference(t, m_cap):
         assert {_canonical_form(sets, m_cap)[0] for _, sets in found} == {
             _canonical_form(sets, m_cap)[0] for _, sets in free
         }, n
+
+
+def test_branch_enumerate_leaves_no_reference_cycle():
+    # the recorded families (1,224 at t = n = m_cap = 6) are freed when the
+    # caller drops them, not at a later collection, so repeated searches do
+    # not raise the peak memory
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(_branch_enumerate(6, 6, 6)[2]) == 1224
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_the_empty_root_is_neither_counted_nor_recorded():
@@ -306,8 +283,9 @@ def test_phi_naive_rejects_more_sets_than_the_power_set(n, m):
 
 
 def test_phi_search_matches_naive_through_5():
+    # against the subset tree: phi_naive runs phi_search's own traversal
     for n in range(1, 6):
-        assert phi_search(SearchConfig(n)).phi == phi_naive(n).phi
+        assert phi_search(SearchConfig(n)).phi == _naive_reference(n, n)[0]
 
 
 def _as_printed(result: SearchResult) -> str:
@@ -320,11 +298,14 @@ def _as_printed(result: SearchResult) -> str:
 
 
 def test_phi_search_matches_naive_at_6():
-    # the full oracle scale: a few seconds of exhaustive enumeration
-    search, naive = phi_search(SearchConfig(6)), phi_naive(6)
-    assert search.phi == naive.phi == 4
+    # the full oracle scale: the subset tree's 2,105,513 nodes, a few
+    # seconds of enumeration, give phi and the witness naive-6.out pins
+    search = phi_search(SearchConfig(6))
+    phi, nodes, witness = _naive_reference(6, 6)
+    assert (search.phi, phi, nodes) == (4, 4, 2105513)
     assert _as_printed(search) == (SEARCH_GOLDEN / "phi-6.out").read_text()
-    assert _as_printed(naive) == (SEARCH_GOLDEN / "naive-6.out").read_text()
+    text = (SEARCH_GOLDEN / "naive-6.out").read_text()
+    assert parse_family(text[text.index("ucs 1") :]) == witness
 
 
 def test_phi_search_equals_conway_through_9():
@@ -675,11 +656,7 @@ def test_phi_search_reports_a_family_below_the_bound(monkeypatch, n):
     result = phi_search(SearchConfig(n))
     assert result.phi == A[n - 1] == beta(n)[0]
     assert result.witness.m == beta(n)[0]
-    if n <= 5:
-        oracle = phi_naive(n).witness
-    elif n == 6:  # phi_naive(6) takes seconds; naive-6.out pins its witness
-        text = (SEARCH_GOLDEN / "naive-6.out").read_text()
-        oracle = parse_family(text[text.index("ucs 1") :])
-    else:
+    if n > 6:
         return
+    oracle = phi_naive(n).witness  # the cap n on [n], another tree
     assert result.witness.sets == oracle.sets  # only the universe differs
