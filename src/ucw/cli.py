@@ -107,12 +107,15 @@ def _cmd_gen_block_upset(args) -> int:
 
 
 def _fraction(text: str) -> Fraction:
-    """argparse type for NUM or NUM/DEN in ASCII digits; anything else, an
-    exponent or a zero denominator included, is a usage error."""
+    """argparse type for NUM or NUM/DEN in ASCII digits, at most 600 past
+    each number's leading zeros: below 640, the least int-digit limit an
+    interpreter takes, so no verdict depends on that limit. Anything else,
+    an exponent or a zero denominator included, is a usage error."""
+    parts = [part.lstrip("0") or "0" for part in text.split("/")]
     try:
-        if re.fullmatch(r"[0-9]+(/[0-9]+)?", text):
-            return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        if re.fullmatch(r"[0-9]+(/[0-9]+)?", text) and max(map(len, parts)) <= 600:
+            return Fraction(*map(int, parts))
+    except ZeroDivisionError:
         pass
     raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}")
 

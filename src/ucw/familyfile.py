@@ -16,9 +16,10 @@ later non-comment line is one member set: ``-`` for the empty set, else
 strictly increasing elements of 1..m joined by single spaces, each checked
 for order before range; so a blank line is a malformed set line anywhere.
 Numbers are ASCII decimal digits only (``[0-9]+``), so a sign, a space, ``_``,
-a non-ASCII digit or a trailing ``\r`` is rejected; leading zeros are
-accepted (``01 3`` is {1, 3}). Duplicate sets are rejected, also when their
-lines differ only in leading zeros. Parsing always yields a canonically
+a non-ASCII digit or a trailing ``\r`` is rejected; leading zeros of any
+length are accepted (``01 3`` is {1, 3}), and a number past its range is out
+of range however many digits it has. Duplicate sets are rejected, also when
+their lines differ only in leading zeros. Parsing always yields a canonically
 ordered family, so ``parse(serialize(f)) == f`` and serializing a parse
 canonicalizes the input.
 """
@@ -41,6 +42,9 @@ DUPLICATE_SET = "duplicate-set"
 EMPTY_BODY = "empty-body"
 
 _NUMBERS = re.compile(r"[0-9]+(?: [0-9]+)*")
+# a number of _DIGITS digits or more past its leading zeros is past
+# MAX_UNIVERSE, and so is the value of those first _DIGITS digits
+_DIGITS = len(str(MAX_UNIVERSE)) + 1
 
 
 class FamilyParseError(ValueError):
@@ -53,16 +57,15 @@ class FamilyParseError(ValueError):
         super().__init__(f"{code}: {message}{where}")
 
 
-def _numbers(text: str) -> list[int] | None:
+def _numbers(text: str) -> list[tuple[str, int]] | None:
     """The numbers in ``text`` if it is ``[0-9]+`` tokens joined by single
-    spaces, else ``None``. int() alone would also take signs, padding, '_'
-    and non-ASCII digits."""
+    spaces, else ``None``: each as its digits past the leading zeros and
+    the value of their first ``_DIGITS``, which no int-digit limit refuses.
+    int() alone would also take signs, padding, '_' and non-ASCII digits."""
     if not _NUMBERS.fullmatch(text):
         return None
-    try:
-        return [int(token) for token in text.split(" ")]
-    except ValueError:  # more digits than int() converts
-        return None
+    digits = [token.lstrip("0") or "0" for token in text.split(" ")]
+    return [(d, int(d[:_DIGITS])) for d in digits]
 
 
 def _line_mask(line: str, line_no: int, m: int) -> int:
@@ -75,7 +78,7 @@ def _line_mask(line: str, line_no: int, m: int) -> int:
         raise FamilyParseError(BAD_SET_LINE, f"bad set line {line!r}", line_no)
     mask = 0
     prev = 0
-    for e in elements:
+    for digits, e in elements:
         if e <= prev:
             raise FamilyParseError(
                 ELEMENT_ORDER,
@@ -84,7 +87,7 @@ def _line_mask(line: str, line_no: int, m: int) -> int:
             )
         if e > m:
             raise FamilyParseError(
-                ELEMENT_OUT_OF_RANGE, f"element {e} > m={m}", line_no
+                ELEMENT_OUT_OF_RANGE, f"element {digits} > m={m}", line_no
             )
         mask |= 1 << (e - 1)
         prev = e
@@ -105,9 +108,9 @@ def parse_family(text: str) -> Family:
     m_value = _numbers(line[2:]) if line.startswith("m=") else None
     if m_value is None or len(m_value) != 1:
         raise FamilyParseError(BAD_HEADER, f"expected 'm=<int>', got {line!r}", line_no)
-    m = m_value[0]
+    [(digits, m)] = m_value
     if not 1 <= m <= MAX_UNIVERSE:
-        raise FamilyParseError(M_OUT_OF_RANGE, f"m must be in 1..{MAX_UNIVERSE}, got {m}", line_no)
+        raise FamilyParseError(M_OUT_OF_RANGE, f"m must be in 1..{MAX_UNIVERSE}, got {digits}", line_no)
 
     # the bit of each element's canonical token; a line it cannot read whole,
     # or whose bits are out of order or repeated, goes to the strict reader

@@ -1,13 +1,13 @@
 """Exhaustive search for the minimal maximal frequency over n-set families.
 
 phi(n) is the minimum, over union-closed families of exactly n sets with at
-least one non-empty member, of the largest element frequency. Two routes
-share one traversal:
+least one non-empty member, of the largest element frequency. Both entry
+points run one driver, :func:`_phi`: the traversal described below with a
+cap t on [m], then the pick described last.
 
-* :func:`phi_naive`, the small-scale oracle, runs the traversal described
-  below on [m] with the cap t = n: no frequency of an n-set family passes
-  n, so it reaches every union-closed family of n sets on P(m) up to
-  relabeling.
+* :func:`phi_naive`, the small-scale oracle, runs it on [m] with the cap
+  t = n: no frequency of an n-set family passes n, so it reaches every
+  union-closed family of n sets on P(m) up to relabeling.
 
 * :func:`phi_search` proves the value by exhausting the space *below*
   beta(n), the maximal frequency of B(n) (at most a(n), as the tests check
@@ -60,16 +60,16 @@ share one traversal:
   always. ``visited`` and ``conjecture_violations`` count the class
   representatives the traversal reaches, not every labelled family.
 
-The witness reported with phi(n) is the balanced-deletion family when the
-bound is tight (it always is on the verified range); otherwise, as in
-:func:`phi_naive`, it is the least tied family by sorted member sizes, then
-by its member tuple in canonical order. That is also the least over every
-relabeling of the tied families: the traversal reaches the least
-relabeling of each, less any ∅, with the same frequencies, and the
-equal-column rule never cuts it.
+The pick is the least frequency among the families the traversal records
+and the least family tied at it, by sorted member sizes, then by member
+tuple in canonical order. That is also the least over every relabeling of
+the tied families: the traversal reaches the least relabeling of each,
+less any ∅, with the same frequencies, and the equal-column rule never
+cuts it. When the traversal records none, the result is the bound the
+caller passes: for :func:`phi_search`, beta(n) with B(n) as its witness,
+as on the whole verified range.
 """
 
-import time
 from dataclasses import dataclass
 
 from .constructions import beta, conway, renaud_family
@@ -102,8 +102,7 @@ class SearchResult:
     phi: int
     witness: Family
     visited: int
-    duration: float
-    conjecture_violations: int = 0
+    conjecture_violations: int
 
 
 def _least_family(m: int, pool) -> Family:
@@ -117,11 +116,15 @@ def _least_family(m: int, pool) -> Family:
     return Family.from_sets(m, min(pool, key=key))
 
 
-def _least_found(m: int, found) -> tuple[int, Family]:
-    """The least frequency among ``found``'s (frequency, members) pairs and
-    the least family tied at it."""
-    value = min(v for v, _ in found)
-    return value, _least_family(m, [sets for v, sets in found if v == value])
+def _phi(n: int, t: int, m: int, bound: tuple[int, Family] | None = None) -> SearchResult:
+    """The traversal with the cap t on [m] for n sets, and its pick: the
+    least frequency it records and the least family tied at it, or
+    ``bound``, a (phi, witness) pair, when it records none."""
+    branch_nodes, violations, found = _branch_enumerate(t, m, n)
+    if found:
+        value = min(v for v, _ in found)
+        bound = value, _least_family(m, [sets for v, sets in found if v == value])
+    return SearchResult(*bound, sum(branch_nodes), violations)
 
 
 def phi_naive(n: int, m_max: int | None = None) -> SearchResult:
@@ -139,15 +142,9 @@ def phi_naive(n: int, m_max: int | None = None) -> SearchResult:
     m = n if m_max is None else m_max
     if not 1 <= m <= PHI_NAIVE_MAX_N:
         raise DomainError(f"phi_naive supports 1 <= m_max <= {PHI_NAIVE_MAX_N}")
-    top = 1 << m
-    if n > top:
-        raise DomainError(f"phi_naive needs n <= 2^m_max = {top}")
-    start = time.perf_counter()
-    branch_nodes, violations, found = _branch_enumerate(n, m, n)
-    value, witness = _least_found(m, found)
-    return SearchResult(
-        value, witness, sum(branch_nodes), time.perf_counter() - start, violations
-    )
+    if n > 1 << m:
+        raise DomainError(f"phi_naive needs n <= 2^m_max = {1 << m}")
+    return _phi(n, n, m)
 
 
 def _branch_enumerate(t: int, m_cap: int, n: int):
@@ -271,18 +268,10 @@ def phi_search(config: SearchConfig) -> SearchResult:
     if config.m_max is not None:
         raise DomainError("m_max bounds the naive search only; phi_search "
                           "always searches on [beta(n) - 1]")
-    start = time.perf_counter()
     if n == 1:
-        return SearchResult(1, Family(1, (1,)), 1, time.perf_counter() - start)
-    value, _ = beta(n)
-    witness = renaud_family(n)
-    t = value - 1
-    branch_nodes, violations, improving = _branch_enumerate(t, t, n)
-    if improving:
-        value, witness = _least_found(t, improving)
-    return SearchResult(
-        value, witness, sum(branch_nodes), time.perf_counter() - start, violations
-    )
+        return phi_naive(1)
+    t = beta(n)[0] - 1
+    return _phi(n, t, t, (t + 1, renaud_family(n)))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -25,6 +26,18 @@ def random_separating_union_closed(rng: random.Random, m_max: int = 8) -> Family
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0x5EED)
+
+
+@pytest.fixture(params=[0, 640, 4300], ids=lambda limit: f"int-digits-{limit}")
+def int_digit_limit(request):
+    """Sets the interpreter's int-digit limit for one test: off, its least
+    setting and its default. Readers of decimal input must not depend on it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param)
+    yield request.param
+    sys.set_int_max_str_digits(saved)
 
 
 @pytest.fixture

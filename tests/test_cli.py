@@ -109,6 +109,16 @@ def test_gen_beta_cross_check(capsys):
     assert pairs["cross_check"] == "ok"
 
 
+def test_gen_beta_cross_check_reports_a_mismatch(capsys, monkeypatch):
+    # a closed form one above the materialized B(56) is reported, not hidden
+    real = constructions.beta
+    monkeypatch.setattr(constructions, "beta", lambda n: (real(n)[0] + 1, real(n)[1]))
+    code, out, _ = run_cli(capsys, "gen", "beta", "-n", "56")
+    pairs = as_pairs(out)
+    assert pairs["beta"] == "32"
+    assert pairs["cross_check"] == "MISMATCH materialized=31"
+
+
 def test_gen_block_upset(capsys, tmp_path):
     target = tmp_path / "c.ucs"
     code, out, _ = run_cli(
@@ -175,6 +185,31 @@ def test_gen_pad_zero_denominator_is_a_usage_error(capsys, tmp_path, ratio):
     assert code == 2 and out == ""
     assert f"argument -c: invalid Fraction value: '{ratio}'" in err
     assert not dst.exists()
+
+
+@pytest.mark.parametrize(
+    "ratio, p",
+    [
+        ("0" * 5000 + "5/" + "0" * 5000 + "2", "7"),
+        ("9" * 600, "0"),
+        ("9" * 601, None),
+        ("9" * 5000, None),
+        ("5/" + "9" * 601, None),
+    ],
+    ids=["zero-padded", "600-digits", "601-digits", "5000-digits", "601-digit-den"],
+)
+def test_gen_pad_c_reads_alike_under_every_int_digit_limit(
+    capsys, tmp_path, int_digit_limit, ratio, p
+):
+    # at most 600 digits after the leading zeros, whatever the interpreter's limit
+    dst = tmp_path / "padded.ucs"
+    code, out, err = run_cli(
+        capsys, "gen", "pad", "-c", ratio, "-i", str(GOLDEN / "b23.ucs"), "-o", str(dst)
+    )
+    if p is None:
+        assert code == 2 and "argument -c: invalid Fraction value" in err
+    else:
+        assert code == 0 and as_pairs(out)["p"] == p
 
 
 @pytest.mark.parametrize(

@@ -478,6 +478,14 @@ def test_gap_report_bounds():
         gap_report(1)
 
 
+def test_gap_report_refuses_a_formula_off_the_materialized_family(monkeypatch):
+    # the two-block family at N = 3 has 79 sets; a closed form one above
+    # max_frequency(B(79)) = 44
+    monkeypatch.setattr(constructions, "beta", lambda n: (beta(n)[0] + 1, beta(n)[1]))
+    with pytest.raises(AssertionError, match=r"^beta\(79\) formula 45 != materialized 44$"):
+        gap_report(3)
+
+
 # ---------------------------------------------------------------------------
 # entropy chain
 

@@ -74,9 +74,9 @@ def test_serialize_power_set_order():
         ("ucs 1\nm=12\n1_0\n", BAD_SET_LINE),
         ("ucs 1\nm=2\n0 1\n", ELEMENT_ORDER),
         ("ucs 1\nm=3 4\n1\n", BAD_HEADER),
-        # more digits than int() converts
-        pytest.param("ucs 1\nm=" + "0" * 5000 + "3\n1\n", BAD_HEADER, id="long-m"),
-        pytest.param("ucs 1\nm=3\n" + "0" * 5000 + "1\n", BAD_SET_LINE, id="long-element"),
+        # more digits than int() converts by default: out of range by value
+        pytest.param("ucs 1\nm=" + "9" * 5000 + "\n1\n", M_OUT_OF_RANGE, id="long-m"),
+        pytest.param("ucs 1\nm=3\n" + "9" * 5000 + "\n", ELEMENT_OUT_OF_RANGE, id="long-element"),
     ],
 )
 def test_parse_error_codes(text, code):
@@ -140,10 +140,28 @@ def test_serialize_block_edges_match_per_element_rendering(m):
     [
         ("ucs 1\nm=3\n01 3\n", (0b101,)),
         ("ucs 1\nm=12\n002 010 012\n-\n", (0, 0b101000000010)),
+        # more digits than int() converts by default
+        pytest.param("ucs 1\nm=" + "0" * 5000 + "3\n1\n", (0b1,), id="long-m-zeros"),
+        pytest.param("ucs 1\nm=3\n" + "0" * 5000 + "1\n", (0b1,), id="long-element-zeros"),
     ],
 )
 def test_parse_accepts_leading_zeros(text, sets):
     assert parse_family(text).sets == sets
+
+
+def test_long_numbers_read_alike_under_every_int_digit_limit(int_digit_limit):
+    zeros, nines = "0" * 5000, "9" * 5000
+    assert parse_family(f"ucs 1\nm={zeros}3\n{zeros}1 {zeros}3\n").sets == (0b101,)
+    for text, message in [
+        (f"ucs 1\nm={nines}\n1\n", f"m-out-of-range: m must be in 1..64, got {nines} (line 2)"),
+        (f"ucs 1\nm=3\n1 {nines}\n", f"element-out-of-range: element {nines} > m=3 (line 3)"),
+        (f"ucs 1\nm=3\n{zeros}3 {zeros}2\n",
+         "element-order: elements must be strictly increasing, got 2 after 3 (line 3)"),
+    ]:
+        # a message names a number by its digits, which needs no str() of an int
+        with pytest.raises(FamilyParseError) as err:
+            parse_family(text)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
@@ -175,15 +193,12 @@ _REF_NUMBERS = re.compile(r"[0-9]+(?: [0-9]+)*")
 
 def _reference_parse(text):
     """The element-by-element reader: every set line through the regex and
-    one int() per element."""
+    one int() per element, so it reads only numbers int() converts."""
 
     def numbers(s):
         if not _REF_NUMBERS.fullmatch(s):
             return None
-        try:
-            return [int(token) for token in s.split(" ")]
-        except ValueError:
-            return None
+        return [int(token) for token in s.split(" ")]
 
     # the empty entry after a final LF is dropped from the raw split, before
     # comments are, so a blank line followed only by comments stays a line

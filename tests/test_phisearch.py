@@ -308,53 +308,36 @@ def test_phi_search_matches_naive_at_6():
     assert parse_family(text[text.index("ucs 1") :]) == witness
 
 
-def test_phi_search_equals_conway_through_9():
-    for n in range(1, 10):
-        result = phi_search(SearchConfig(n))
-        assert result.phi == A[n - 1], n
+# a change here must be explained by a change to the enumeration. The
+# traversal prunes by the frequency cap t alone and cuts by the equal-column
+# rule, which reads only the node's members, so visited depends on (t, m_cap)
+# and not on n (n = 6, 7, 8 share t = 3, and n = 11, 12 share t = 6); the one
+# traversal records both the ∅-free and the ∅-holding families, so there is
+# no second run. n = 1 is phi_naive(1)'s one node; 1, 11 and 12 are the
+# visited lines of phi-1.out, phi-11.out and phi-12.out
+VISITED = {
+    1: 1, 2: 0, 3: 1, 4: 1, 5: 4, 6: 13, 7: 13, 8: 13, 9: 66, 10: 425, 11: 3931, 12: 3931,
+}
 
 
-def test_phi_search_n10():
-    # one step past the acceptance range, still cheap
-    assert phi_search(SearchConfig(10)).phi == A[9]
-
-
-def test_phi_search_witness_validity():
-    for n in range(1, 10):
-        result = phi_search(SearchConfig(n))
-        assert len(result.witness) == n
-        assert is_union_closed(result.witness)
-        assert max_frequency(result.witness)[1] == result.phi
-        assert check_conjecture(result.witness).holds
-
-
-def test_phi_search_monotone_step():
-    values = [phi_search(SearchConfig(n)).phi for n in range(1, 10)]
-    for prev, nxt in zip(values, values[1:]):
-        assert nxt - prev in (0, 1)
-
-
-def test_phi_search_upper_bounds_respected():
-    for n in range(2, 10):
-        result = phi_search(SearchConfig(n))
-        assert result.phi <= beta(n)[0] <= A[n - 1]
-
-
-def test_phi_search_no_conjecture_violations():
-    for n in range(2, 10):
-        assert phi_search(SearchConfig(n)).conjecture_violations == 0
-
-
-def test_phi_search_visited_pinned():
-    # a change here must be explained by a change to the enumeration. The
-    # traversal prunes by the frequency cap t alone and cuts by the
-    # equal-column rule, which reads only the node's members, so visited
-    # depends on (t, m_cap) and not on n (n = 6, 7, 8 share t = 3); the one
-    # traversal records both the ∅-free and the ∅-holding families, so
-    # there is no second run.
-    expected = {2: 0, 3: 1, 4: 1, 5: 4, 6: 13, 7: 13, 8: 13, 9: 66, 10: 425}
-    for n, visited in expected.items():
-        assert phi_search(SearchConfig(n)).visited == visited, n
+@pytest.mark.parametrize("n", range(1, 13))
+def test_phi_search_properties(n):
+    # one search per n over the whole supported range
+    config = SearchConfig(n)
+    result = phi_search(config)
+    # no clock in the result, so equal searches compare equal
+    assert result == phi_search(config)
+    if n <= 6:
+        assert phi_naive(n) == phi_naive(n)
+    # phi = a(n), so its steps are Conway's, which the Conway tests check
+    assert result.phi == A[n - 1]
+    assert result.phi <= (beta(n)[0] if n > 1 else 1) <= A[n - 1]
+    assert len(result.witness) == n
+    assert is_union_closed(result.witness)
+    assert max_frequency(result.witness)[1] == result.phi
+    assert check_conjecture(result.witness).holds
+    assert result.conjecture_violations == 0
+    assert result.visited == VISITED[n]
 
 
 def test_traversal_nodes_per_prefix_block_at_t7():
@@ -621,6 +604,13 @@ def test_verify_phi_table():
     assert all(r.phi <= r.beta <= r.conway for r in rows)
     with pytest.raises(DomainError):
         verify_phi_table(13)
+
+
+def test_verify_phi_table_refuses_a_broken_bound_chain(monkeypatch):
+    # a beta one above a(n) breaks beta <= a(n) at the first n it is read
+    monkeypatch.setattr(phisearch, "beta", lambda k: (beta(k)[0] + 1, beta(k)[1]))
+    with pytest.raises(AssertionError, match=r"^bound chain broken at n=2: 1, 2, 1$"):
+        verify_phi_table(2)
 
 
 def test_phi_search_config_naive_route():
