@@ -23,7 +23,6 @@ problems, 1 is reserved for property violations.
 """
 
 import argparse
-import re
 import sys
 from fractions import Fraction
 
@@ -106,15 +105,26 @@ def _cmd_gen_block_upset(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """argparse type for every integer option: ASCII digits, read as the
+    numbers of a ``.ucs`` file are. More than 20 digits past the leading
+    zeros make a count above 2^64 and every cap, so its first 21 digits
+    stand in for it and no verdict depends on the int-digit limit."""
+    numbers = familyfile._numbers(text, 21)
+    if numbers and len(numbers) == 1:
+        return numbers[0][1]
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _fraction(text: str) -> Fraction:
-    """argparse type for NUM or NUM/DEN in ASCII digits, at most 600 past
-    each number's leading zeros: below 640, the least int-digit limit an
-    interpreter takes, so no verdict depends on that limit. Anything else,
-    an exponent or a zero denominator included, is a usage error."""
-    parts = [part.lstrip("0") or "0" for part in text.split("/")]
+    """argparse type for NUM or NUM/DEN, each number read as :func:`_count`
+    reads one but whole: at most 600 digits past its leading zeros, below
+    640, the least int-digit limit an interpreter takes. Anything else, an
+    exponent or a zero denominator included, is a usage error."""
+    parts = [familyfile._numbers(part, 600) for part in text.split("/", 1)]
     try:
-        if re.fullmatch(r"[0-9]+(/[0-9]+)?", text) and max(map(len, parts)) <= 600:
-            return Fraction(*map(int, parts))
+        if all(part and len(part) == 1 and len(part[0][0]) <= 600 for part in parts):
+            return Fraction(*(part[0][1] for part in parts))
     except ZeroDivisionError:
         pass
     raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}")
@@ -227,21 +237,21 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_sub = gen.add_subparsers(dest="generator", required=True)
 
     p = gen_sub.add_parser("conway", help="Conway's nested recurrence a(1..N)")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_count, required=True)
     p.set_defaults(func=_cmd_gen_conway)
 
     p = gen_sub.add_parser("renaud", help="balanced-deletion family of N sets")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_count, required=True)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gen_renaud)
 
     p = gen_sub.add_parser("beta", help="closed-form maximal frequency of B(N)")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_count, required=True)
     p.set_defaults(func=_cmd_gen_beta)
 
     p = gen_sub.add_parser("block-upset", help="power set joined with a block up-set")
-    p.add_argument("-s", type=int, required=True, help="block size")
-    p.add_argument("-k", type=int, required=True, help="block count")
+    p.add_argument("-s", type=_count, required=True, help="block size")
+    p.add_argument("-k", type=_count, required=True, help="block count")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gen_block_upset)
 
@@ -262,16 +272,16 @@ def _build_parser() -> argparse.ArgumentParser:
     search = sub.add_parser("search", help="exhaustive searches")
     search_sub = search.add_subparsers(dest="target", required=True)
     p = search_sub.add_parser("phi", help="minimal maximal frequency over n-set families")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_count, required=True)
     p.add_argument("--naive", action="store_true")
-    p.add_argument("--m-max", type=int, default=None)
+    p.add_argument("--m-max", type=_count, default=None)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_search_phi)
 
     compare = sub.add_parser("compare", help="construction comparisons")
     compare_sub = compare.add_subparsers(dest="comparison", required=True)
     p = compare_sub.add_parser("gap", help="two-block family vs balanced deletion")
-    p.add_argument("-N", type=int, required=True)
+    p.add_argument("-N", type=_count, required=True)
     p.set_defaults(func=_cmd_compare_gap)
 
     return parser

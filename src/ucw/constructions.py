@@ -7,17 +7,17 @@ Three families of results live here:
   starts from the power set P(k), 2^(k-1) < n <= 2^k, and deletes 2^k - n
   sets containing element k: whole size levels in ascending order, then a
   partial level whose deletion degrees on elements 1..k-1 are exactly
-  balanced. Union-closure survives because deletions are upward-closed in
-  size. beta(n) follows in closed form from the deletion schedule; the
+  balanced. beta(n) follows in closed form from the deletion schedule; the
   materialized family is the ground truth the closed form is tested against.
 
 * Block up-set families C(s,k): the power set P(sk) joined with the up-set
   on sk+1 elements generated by k disjoint s-blocks each augmented with the
-  top element sk+1. These keep more small sets than B(|C|) at equal size
-  ("holes" in the middle levels), which lowers the maximal frequency; the
-  two-block series (k=2, block size N) realizes a gap below beta that grows
-  with N. A binary-entropy estimate of binomial growth certifies the
-  mechanism behind the unbounded gap.
+  top element sk+1, the shape of B(n) too: :func:`_join` builds both. These
+  keep more small sets than B(|C|) at equal size ("holes" in the middle
+  levels), which lowers the maximal frequency; the two-block series (k=2,
+  block size N) realizes a gap below beta that grows with N. A
+  binary-entropy estimate of binomial growth certifies the mechanism behind
+  the unbounded gap.
 
 * The padding transform: appending p fresh elements and p near-full sets
   drives the set-to-universe ratio below a chosen c > 2 while charging the
@@ -190,23 +190,28 @@ def balanced_deletion(universe: int, h: int, v: int) -> list[int]:
     return _balanced_select(universe, h, targets)
 
 
+def _join(j: int, upper) -> Family:
+    """P(j) with ``upper``, the sets {j+1} u h in canonical order for h in an
+    up-set H of P(j). Union-closed: a union of members that takes some
+    {j+1} u h is {j+1} u (h u x) with x in P(j), and h u x is in H. Canonical:
+    in a size, P(j)'s members lie below 2^j and the others hold j+1, so the
+    stable sort by size lists P(j)'s first and keeps both parts ascending."""
+    sets = [*range(1 << j), *upper]
+    sets.sort(key=int.bit_count)
+    return Family._unchecked(j + 1, tuple(sets))
+
+
 def renaud_family(n: int) -> Family:
     """Materialize B(n): P(k) with 2^k - n balanced deletions among k-sets."""
     if n > 1 << RENAUD_MATERIALIZE_MAX_K:  # k > K; refused before the schedule
         raise CapacityError(f"materialization capped at k <= {RENAUD_MATERIALIZE_MAX_K}")
     sched = _beta_schedule(n)
-    k = sched.k
-    kbit = 1 << (k - 1)
-    full = len(sched.full_levels)  # the wholly deleted levels are sizes 1..full
-    partial = balanced_deletion(k - 1, sched.r - 1, sched.v)
-    deleted = {sub | kbit for sub in partial}
-    # sorted stably by size, range(1 << k) is P(k) in canonical order, and
-    # the filter keeps that order; every member is a subset of [k]
-    kept = tuple(
-        s for s in sorted(range(1 << k), key=int.bit_count)
-        if not (s & kbit and s.bit_count() <= full) and s not in deleted
-    )
-    return Family._unchecked(k, kept)
+    j = sched.k - 1  # every deleted set is k together with a set of P(j)
+    start = sched.deleted - sched.v  # canonical P(j) opens with the wholly deleted sets
+    gone = set(balanced_deletion(j, sched.r - 1, sched.v))
+    # canonical P(j) stays unnamed, so its list is freed before the join
+    return _join(j, [(1 << j) | h for h in sorted(range(1 << j), key=int.bit_count)[start:]
+                     if h not in gone])
 
 
 def beta(n: int) -> tuple[int, BetaDecomposition]:
@@ -303,15 +308,9 @@ def hole_levels(params: BlockUpsetParams) -> range:
 
 
 def _block_family(s: int, k: int) -> Family:
-    m = s * k + 1
-    if m > MAX_MATERIALIZED_UNIVERSE:
+    if s * k + 1 > MAX_MATERIALIZED_UNIVERSE:
         raise CapacityError(f"materialization capped at sk+1 <= {MAX_MATERIALIZED_UNIVERSE}")
-    upper = up_set(_block_generators(s, k), m)
-    # P(sk) ascending, then the up-set, sorted stably by size: in a size, P(sk)
-    # members are below 2^(sk) and up-set members hold sk+1, so are at least
-    # 2^(sk); the result is canonical, distinct and within [m]
-    sets = sorted([*range(1 << (s * k)), *upper.sets], key=int.bit_count)
-    return Family._unchecked(m, tuple(sets))
+    return _join(s * k, up_set(_block_generators(s, k), s * k + 1).sets)
 
 
 def block_upset_family(params: BlockUpsetParams) -> Family:

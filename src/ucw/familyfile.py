@@ -57,15 +57,16 @@ class FamilyParseError(ValueError):
         super().__init__(f"{code}: {message}{where}")
 
 
-def _numbers(text: str) -> list[tuple[str, int]] | None:
+def _numbers(text: str, width: int = _DIGITS) -> list[tuple[str, int]] | None:
     """The numbers in ``text`` if it is ``[0-9]+`` tokens joined by single
     spaces, else ``None``: each as its digits past the leading zeros and
-    the value of their first ``_DIGITS``, which no int-digit limit refuses.
-    int() alone would also take signs, padding, '_' and non-ASCII digits."""
+    the value of their first ``width``, which no int-digit limit refuses
+    while ``width`` stays below 640. int() alone would also take signs,
+    padding, '_' and non-ASCII digits. The CLI reads its numbers here too."""
     if not _NUMBERS.fullmatch(text):
         return None
     digits = [token.lstrip("0") or "0" for token in text.split(" ")]
-    return [(d, int(d[:_DIGITS])) for d in digits]
+    return [(d, int(d[:width])) for d in digits]
 
 
 def _line_mask(line: str, line_no: int, m: int) -> int:

@@ -64,6 +64,15 @@ def _require_separating_union_closed(f: Family, who: str) -> None:
         raise DomainError(f"{who} requires a separating family (quotient first)")
 
 
+def _frequency_order(f: Family, who: str) -> list[tuple[int, int]]:
+    """The (count, element) pairs of the elements f uses, ascending."""
+    _require_separating_union_closed(f, who)
+    pairs = sorted((count, e) for e, count in enumerate(frequencies(f), start=1) if count)
+    if not pairs:
+        raise DomainError(f"{who} requires a non-empty universe")
+    return pairs
+
+
 def frequency_order_relabel(f: Family) -> tuple[Family, tuple[int, ...]]:
     """Rename elements so frequencies are non-decreasing in element index.
 
@@ -71,15 +80,9 @@ def frequency_order_relabel(f: Family) -> tuple[Family, tuple[int, ...]]:
     member are dropped, so the result's universe is exactly covered. Returns
     the relabeled family and a permutation with perm[new-1] = old.
     """
-    _require_separating_union_closed(f, "frequency_order_relabel")
-    counts = frequencies(f)
-    used = [e for e in range(1, f.m + 1) if counts[e - 1] > 0]
-    if not used:
-        raise DomainError("frequency_order_relabel requires a non-empty universe")
-    order = sorted(used, key=lambda e: (counts[e - 1], e))
+    order = tuple(e for _, e in _frequency_order(f, "frequency_order_relabel"))
     new_of_old = {old: new for new, old in enumerate(order, start=1)}
-    new_sets = _relabel(f.sets, f.m, new_of_old)
-    return Family.from_sets(len(order), new_sets), tuple(order)
+    return Family.from_sets(len(order), _relabel(f.sets, f.m, new_of_old)), order
 
 
 def s_collection(f: Family) -> STable:
@@ -181,13 +184,9 @@ def s_frequency_bound(f: Family) -> tuple[int, int]:
     :func:`frequency_order_relabel` puts last. It lands on the top staircase
     position and lies in all m distinct rows, so its frequency is at least m.
     """
-    _require_separating_union_closed(f, "s_frequency_bound")
-    counts = frequencies(f)
-    used = [e for e in range(1, f.m + 1) if counts[e - 1] > 0]
-    if not used:
-        raise DomainError("s_frequency_bound requires a non-empty universe")
-    count, element = max((counts[e - 1], e) for e in used)
-    assert count >= len(used)
+    pairs = _frequency_order(f, "s_frequency_bound")
+    count, element = pairs[-1]
+    assert count >= len(pairs)
     return (element, count)
 
 

@@ -71,8 +71,40 @@ def test_gen_renaud_past_the_cap_exit_2(capsys, monkeypatch):
         raise AssertionError("schedule built before the cap check")
 
     monkeypatch.setattr(constructions, "_beta_schedule", no_schedule)
-    code, out, err = run_cli(capsys, "gen", "renaud", "-n", str(10**4299))
+    code, out, err = run_cli(capsys, "gen", "renaud", "-n", "1" + "0" * 4299)
     assert (code, out, err) == (2, "", "error: materialization capped at k <= 13\n")
+
+
+# every integer option, with None where the number goes
+INT_OPTIONS = {
+    "conway-n": ["gen", "conway", "-n", None],
+    "renaud-n": ["gen", "renaud", "-n", None],
+    "beta-n": ["gen", "beta", "-n", None],
+    "block-upset-s": ["gen", "block-upset", "-s", None, "-k", "2"],
+    "block-upset-k": ["gen", "block-upset", "-s", "2", "-k", None],
+    "search-n": ["search", "phi", "-n", None],
+    "search-m-max": ["search", "phi", "-n", "3", "--naive", "--m-max", None],
+    "compare-N": ["compare", "gap", "-N", None],
+}
+
+
+@pytest.mark.parametrize("argv", INT_OPTIONS.values(), ids=INT_OPTIONS.keys())
+def test_int_options_read_alike_under_every_int_digit_limit(capsys, int_digit_limit, argv):
+    # ASCII digits as in a .ucs file; past 20 digits after the leading zeros
+    # a count is above every cap, and its leading digits stand in for it
+    def run(value):
+        return run_cli(capsys, *[value if arg is None else arg for arg in argv])
+
+    assert run("007") == run("7")
+    huge = run("1" + "0" * 4299)
+    assert huge[:2] == (2, "") and huge[2].startswith("error: ")
+    assert run("0" * 5000 + "9" * 5000) == run("1" + "0" * 20) == huge
+    flag = argv[argv.index(None) - 1]
+    # "\u0663" is the Arabic-Indic digit three, which int() takes
+    for bad in ("+3", " 3", "1_0", "\u0663", "-3", "3 4", ""):
+        code, out, err = run(bad)
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: invalid int value: {bad!r}" in err
 
 
 def test_gen_renaud_writes_file_and_reports_beta(capsys, tmp_path):
@@ -96,7 +128,7 @@ def test_gen_renaud_stdout_document(capsys):
 
 def test_gen_beta_past_the_universe_exit_2(capsys):
     # B(n) needs k = ceil(log2 n) <= 64 elements; refused before the schedule
-    code, out, err = run_cli(capsys, "gen", "beta", "-n", str(10**4299))
+    code, out, err = run_cli(capsys, "gen", "beta", "-n", "1" + "0" * 4299)
     assert (code, out) == (2, "")
     assert err == "error: B(n) needs k = ceil(log2 n) <= 64 elements\n"
 
@@ -142,8 +174,9 @@ def test_gen_block_upset_rejects_2_2(capsys):
 
 def test_gen_block_upset_2_11_is_refused_by_the_up_set_budget(capsys):
     # 23 elements pass the 24-element cap, but up_set's budget counts 2^20
-    # supersets for each of the eleven 3-element generators over [23], past
-    # UPSET_MATERIALIZE_LIMIT; no other valid (s, k) under the cap is refused so
+    # supersets for each of the eleven 3-element generators over [23], as it
+    # would for the bare 2-blocks over [22], past UPSET_MATERIALIZE_LIMIT;
+    # no other valid (s, k) under the cap is refused so
     code, out, err = run_cli(capsys, "gen", "block-upset", "-s", "2", "-k", "11")
     assert (code, out, err) == (2, "", "error: up-set too large to materialize\n")
 

@@ -256,9 +256,15 @@ def test_balanced_deletion_empty_levels(u):
 
 
 # sha256 of the serialized B(n): any other selection with the same degrees
-# fails these; the 2..1024 digest runs over the documents one after another
+# fails these; the 2..1024 digest runs over the documents one after another.
+# Past k = 10: B(1087), the size of C(5,2), at k = 11 with a partial level
+# of v = 113; B(4097) at k = 13 with whole levels only; B(6000) at k = 13
+# with v = 606; B(8192), which deletes nothing
 B_DIGESTS = {
     1000: "9909dfbca532e9855a8e08398efe3f27f413b5a62f25dbe8de80e16ad18b633a",
+    1087: "4908682c2c94cbcd5620aac0d4386fd2b62a0d7c56fd310446130448e42dbb2b",
+    4097: "06123f1581abb39b268d09eff74ebe6f6d72547e5f24f759dd35c28ebb076dff",
+    6000: "cc6d5ad75912ae4bde5b8f65d98980bc373c625b435f6433f26538750a230597",
     8192: "08f679f53a31cceede611f86579c21e43b93a0e500b5b97c280bd25b78d9fdf5",
 }
 B_2_TO_1024_DIGEST = "2825b1444bbc9d5c47788f8f43e25dce53dc5120e0162740a663f4f43be269fb"
